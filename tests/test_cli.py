@@ -112,6 +112,83 @@ class TestEval:
         assert "best_of_n#1@s" in out and "best_of_n#2@s" in out
 
 
+GOLDEN_TASKS = [
+    {"id": "r-choice", "category": "ref", "prompt": "Pick one.", "answer_kind": "choice", "reference": "A"},
+    {"id": "r-int", "category": "ref", "prompt": "How many?", "answer_kind": "integer", "reference": 42},
+    {"id": "r-grid", "category": "ref", "prompt": "Which grid?", "answer_kind": "grid",
+     "reference": [[1, 2], [3, 4]]},
+    {"id": "p-rot", "category": "puzzle", "prompt": "Write the program.", "answer_kind": "text",
+     "verifier": {"kind": "arc_program", "params": {"task": ROT180_TASK}}},
+    {"id": "g-ninja", "category": "game", "prompt": "ninja 6", "answer_kind": "integer",
+     "verifier": {"kind": "game_answer", "params": {"game": "ninja", "n": 6}}},
+    {"id": "g-coin", "category": "game", "prompt": "coinflip 2 3", "answer_kind": "text",
+     "verifier": {"kind": "game_answer", "params": {"game": "coinflip", "m": 2, "n": 3}}},
+]
+
+GOLDEN_TABLE = {
+    "r-choice": [["A", 0.4], ["B", 0.4], ["!error", 0.2]],
+    "r-int": [["42", 0.5], ["the answer is 41", 0.3], ["none", 0.2]],
+    "r-grid": [["12\n34", 0.6], ["43\n21", 0.4]],
+    "p-rot": [["rotate180", 0.4], ["identity", 0.4], ["rotate45", 0.2]],
+    "g-ninja": [["3", 0.5], ["4", 0.5]],
+    "g-coin": [["true", 0.5], ["false", 0.5]],
+}
+
+GOLDEN_CONFIG = {
+    "solvers": [
+        {"id": "alpha", "kind": "scripted", "params": {
+            "table": GOLDEN_TABLE,
+            "rng_seed": 5,
+            "prompt_triggers": {"Principles:": {"*": [["A", 0.5], ["42", 0.5]]}},
+            "two_stage": {"*": [["think", 0.5, [["A", 0.5], ["3", 0.5]]],
+                                ["guess", 0.5, [["B", 0.5], ["true", 0.5]]]]},
+        }},
+        {"id": "beta", "kind": "scripted", "params": {"table": GOLDEN_TABLE, "rng_seed": 9}},
+        {"id": "judge", "kind": "scripted", "params": {"table": {"*": [["1", 0.5], ["0", 0.5]]}}},
+    ],
+    "methods": [
+        {"method_id": "zero_shot"},
+        {"method_id": "best_of_n", "n": 3},
+        {"method_id": "self_consistency", "n": 3},
+        {"method_id": "mixture_of_agents", "weights": [0.6, 0.4], "params": {"extra_solver_ids": ["beta"]}},
+        {"method_id": "mcts", "n": 4},
+        {"method_id": "rto", "n": 2, "params": {"forward_prompt": "Solve: {input}",
+                                                "backward_prompt": "Restate: {output}"}},
+        {"method_id": "prover_verifier", "rounds": 2, "params": {"verifier_solver_id": "judge"}},
+        {"method_id": "plan_search", "n": 2},
+        {"method_id": "leap", "params": {"examples": [["1+1", "2"], ["2+2", "4"]]}},
+    ],
+    "seed": 2024,
+}
+
+# sha256 of record.jsonl for GOLDEN_CONFIG; changes only with a deliberate
+# change to the record format or to what a fixed seed draws.
+GOLDEN_RECORD_SHA256 = "e34b074a7a767e54211c2df01dc60b21dfb908760f1bd0db925b8775a2d60f81"
+
+
+def test_golden_record_digest(tmp_path):
+    """A fixed-seed sweep over all nine methods and all three verifier kinds
+    writes the same record.jsonl bytes in fresh interpreters, whatever the
+    string-hash seed."""
+    root = Path(__file__).resolve().parents[1]
+    (tmp_path / "tasks.json").write_text(json.dumps(GOLDEN_TASKS))
+    (tmp_path / "config.json").write_text(json.dumps({**GOLDEN_CONFIG, "tasks": str(tmp_path / "tasks.json")}))
+    digests = []
+    for hash_seed in ("0", "4242"):
+        out = tmp_path / f"runs-{hash_seed}"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "quorum.cli", "eval", "--config", str(tmp_path / "config.json"),
+             "--out", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        [run_dir] = [p for p in out.iterdir() if p.name.startswith("run-")]
+        digests.append(sha256((run_dir / "record.jsonl").read_bytes()).hexdigest())
+    assert digests == [GOLDEN_RECORD_SHA256] * 2
+
+
 class TestArcCli:
     def test_verify_pass(self, tmp_path, capsys):
         task_file = tmp_path / "rot.json"
