@@ -1,3 +1,4 @@
+from ..core.model import SolverBinding
 from .base import Solver, SolverError, sample, supports_two_stage
 from .chat import (
     ChatAuthError,
@@ -24,43 +25,46 @@ __all__ = [
     "ChatSolver",
     "ScriptedSolver",
     "TransformSolver",
-    "resolve_solver",
+    "resolve_solvers",
 ]
 
 
-def resolve_solver(binding, cache_root="cache"):
-    """Build a concrete solver from a :class:`~quorum.core.model.SolverBinding`."""
-    from ..core.model import SolverBinding
-    from ..errors import ConfigurationError
+def resolve_solvers(entries, cache_root) -> dict:
+    """Resolve a run config's ``solvers`` list into solvers keyed by id.
 
-    if not isinstance(binding, SolverBinding):
-        raise ConfigurationError(f"expected SolverBinding, got {type(binding).__name__}")
-    params = dict(binding.params)
-    if binding.kind == "scripted":
-        return ScriptedSolver(
-            binding.id,
-            table={k: [tuple(e) for e in v] for k, v in params.get("table", {}).items()},
-            rng_seed=params.get("rng_seed", 0),
-            prompt_triggers={
-                t: {k: [tuple(e) for e in v] for k, v in tab.items()}
-                for t, tab in params.get("prompt_triggers", {}).items()
-            },
-            two_stage={
-                k: [(pre, p, [tuple(e) for e in tab]) for pre, p, tab in v]
-                for k, v in params.get("two_stage", {}).items()
-            },
-        )
-    if binding.kind == "http-model":
-        client = ChatClient(
-            base_url=params["base_url"],
-            model=params["model"],
-            cache_dir=params.get("cache_dir", cache_root),
-            api_key_env=params.get("api_key_env", "OPENAI_API_KEY"),
-            temperature=params.get("temperature", 1.0),
-            max_tokens=params.get("max_tokens"),
-            timeout_s=params.get("timeout_s", 60.0),
-            max_retries=params.get("max_retries", 3),
-            max_in_flight=params.get("max_in_flight", 4),
-        )
-        return ChatSolver(binding.id, client)
-    raise ConfigurationError(f"cannot resolve solver kind {binding.kind!r}")
+    ``http-model`` replies are cached under ``cache_root`` unless the
+    solver names its own ``cache_dir``.
+    """
+    solvers = {}
+    for entry in entries:
+        binding = SolverBinding(entry["id"], entry["kind"], entry.get("params", {}))
+        params = binding.params
+        if binding.kind == "scripted":
+            solver = ScriptedSolver(
+                binding.id,
+                table={k: [tuple(e) for e in v] for k, v in params.get("table", {}).items()},
+                rng_seed=params.get("rng_seed", 0),
+                prompt_triggers={
+                    t: {k: [tuple(e) for e in v] for k, v in tab.items()}
+                    for t, tab in params.get("prompt_triggers", {}).items()
+                },
+                two_stage={
+                    k: [(pre, p, [tuple(e) for e in tab]) for pre, p, tab in v]
+                    for k, v in params.get("two_stage", {}).items()
+                },
+            )
+        else:  # http-model, the only other kind a binding admits
+            client = ChatClient(
+                base_url=params["base_url"],
+                model=params["model"],
+                cache_dir=params.get("cache_dir", cache_root),
+                api_key_env=params.get("api_key_env", "OPENAI_API_KEY"),
+                temperature=params.get("temperature", 1.0),
+                max_tokens=params.get("max_tokens"),
+                timeout_s=params.get("timeout_s", 60.0),
+                max_retries=params.get("max_retries", 3),
+                max_in_flight=params.get("max_in_flight", 4),
+            )
+            solver = ChatSolver(binding.id, client)
+        solvers[binding.id] = solver
+    return solvers

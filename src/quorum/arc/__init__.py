@@ -1,3 +1,4 @@
+from ..grids import Grid
 from .augment import (
     D4_ELEMENTS,
     apply_element,
@@ -8,7 +9,6 @@ from .augment import (
     leave_one_out,
 )
 from .dsl import GEOMETRY_OPS, MAX_OPS, DslProgram, Op, eval_dsl, parse_dsl, print_dsl
-from .grid import Grid
 from .programs import ExternalProgram, ProgramRunError, predict, run_program, verify_program
 from .prompts import STYLES, format_prompt
 from .task import ArcTask, LoadError, TaskFormatError, load_tasks, load_tasks_with_errors

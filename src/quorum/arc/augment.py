@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import logging
 
+from ..grids import Grid
 from .dsl import DslProgram, Op, eval_dsl
-from .grid import Grid
 from .task import ArcTask
 
 log = logging.getLogger(__name__)

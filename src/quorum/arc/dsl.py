@@ -33,7 +33,7 @@ import re
 from dataclasses import dataclass
 
 from ..errors import DslSyntaxError, GridBoundsError
-from .grid import MAX_SIDE, N_COLORS, Grid
+from ..grids import MAX_SIDE, N_COLORS, Grid
 
 MAX_OPS = 64
 

@@ -16,8 +16,8 @@ from typing import Union
 
 from ..core.model import Check, Verdict
 from ..errors import GridBoundsError, QuorumError
+from ..grids import Grid
 from .dsl import DslProgram, eval_dsl
-from .grid import Grid
 from .task import ArcTask
 
 

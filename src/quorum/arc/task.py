@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Optional
 
 from ..errors import GridBoundsError, QuorumError
-from .grid import Grid
+from ..grids import Grid
 
 log = logging.getLogger(__name__)
 
@@ -65,6 +65,14 @@ class ArcTask:
                 for i, o in self.test
             ],
         }
+
+
+def as_arc_task(task, task_id: Optional[str] = None) -> ArcTask:
+    """``task`` itself, or the ArcTask its interchange dict describes, with
+    id ``task_id``, else the dict's ``id``, else ``"task"``."""
+    if isinstance(task, ArcTask):
+        return task
+    return ArcTask.from_dict(task, task_id or task.get("id", "task"))
 
 
 @dataclass(frozen=True)

@@ -23,14 +23,13 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .adapters import ChatSolver, resolve_solver
+from .adapters import ChatSolver, resolve_solvers
 from .aggregate import coverage_curve, render_matrix, success_rate
 from .arc.augment import augment, leave_one_out
 from .arc.dsl import parse_dsl
 from .arc.programs import ExternalProgram, predict, verify_program
 from .arc.task import load_tasks_with_errors
-from .core.answers import normalize_answer
-from .core.model import SolverBinding, Task, VerifierBinding
+from .core.model import Task
 from .core.runstore import CellRecord, RunRecord, RunStore
 from .core.verify import verify
 from .errors import ConfigurationError, DslSyntaxError, IntractableError, QuorumError
@@ -51,19 +50,6 @@ EXIT_INTERNAL = 3
 # -- eval -------------------------------------------------------------------
 
 
-def _load_task_entry(entry: dict) -> Task:
-    reference = entry.get("reference")
-    verifier = entry.get("verifier")
-    return Task(
-        id=entry["id"],
-        category=entry.get("category", ""),
-        prompt=entry["prompt"],
-        answer_kind=entry["answer_kind"],
-        reference=None if reference is None else normalize_answer(reference, entry["answer_kind"]),
-        verifier=None if verifier is None else VerifierBinding(verifier["kind"], verifier.get("params", {})),
-    )
-
-
 def _load_eval_config(path: str) -> dict:
     with open(path) as fh:
         config = json.load(fh)
@@ -79,25 +65,13 @@ def cmd_eval(args) -> int:
     out_root = Path(args.out or config.get("out", "runs"))
     parallel = args.parallel or config.get("parallel", 1)
 
-    bindings = [SolverBinding(s["id"], s["kind"], s.get("params", {})) for s in config["solvers"]]
-    solvers = {b.id: resolve_solver(b, cache_root=out_root / "cache") for b in bindings}
+    solvers = resolve_solvers(config["solvers"], cache_root=out_root / "cache")
     deterministic = all(not isinstance(s, ChatSolver) for s in solvers.values())
-
-    method_configs = []
-    for entry in config["methods"]:
-        method_configs.append(
-            MethodConfig(
-                method_id=entry["method_id"],
-                n=entry.get("n", 1),
-                rounds=entry.get("rounds", 1),
-                weights=tuple(entry["weights"]) if entry.get("weights") else None,
-                params=entry.get("params", {}),
-            )
-        )
+    method_configs = [MethodConfig.from_dict(entry, solvers) for entry in config["methods"]]
 
     task_path = Path(config["tasks"])
     with open(task_path) as fh:
-        tasks = [_load_task_entry(e) for e in json.load(fh)]
+        tasks = [Task.from_dict(e) for e in json.load(fh)]
     if not tasks:
         raise ConfigurationError(f"no tasks in {task_path}")
 
@@ -117,19 +91,12 @@ def cmd_eval(args) -> int:
             columns.append((mc, sid, f"{label}@{sid}"))
 
     def run_cell(task: Task, mc: MethodConfig, sid: str):
-        solver = solvers[sid]
-        extra = [solvers[x] for x in mc.params.get("extra_solver_ids", []) if x in solvers]
-        params = dict(mc.params)
-        if "verifier_solver_id" in params:
-            params["verifier_solver"] = solvers[params.pop("verifier_solver_id")]
-        cell_config = MethodConfig(mc.method_id, mc.n, mc.weights, mc.rounds, mc.seed, params)
         use_verifier = task.verifier is not None or task.reference is not None
         result = run_method(
-            cell_config,
-            solver,
+            mc,
+            solvers[sid],
             task,
             verifier=verify if use_verifier else None,
-            extra_solvers=extra,
             seed=derive_seed(seed, task.id, sid, mc.method_id),
         )
         verdict = verify(task, result.candidate)
@@ -225,26 +192,18 @@ def cmd_arc(args) -> int:
             )
         return EXIT_OK
 
-    if args.arc_command == "augment":
+    if args.arc_command in ("augment", "loo"):
         task = _load_single_task(args.task)
-        variants = augment(task)
+        if args.arc_command == "augment":
+            variants, what = augment(task), "variant(s)"
+        else:
+            variants, what = [variant for variant, _held in leave_one_out(task)], "leave-one-out variant(s)"
         out_dir = Path(args.out or ".")
         out_dir.mkdir(parents=True, exist_ok=True)
         for variant in variants:
             name = variant.id.replace(":", "_") + ".json"
             (out_dir / name).write_text(json.dumps(variant.to_dict(), indent=1) + "\n")
-        print(f"{len(variants)} variant(s) written to {out_dir}")
-        return EXIT_OK
-
-    if args.arc_command == "loo":
-        task = _load_single_task(args.task)
-        splits = leave_one_out(task)
-        out_dir = Path(args.out or ".")
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for variant, _held in splits:
-            name = variant.id.replace(":", "_") + ".json"
-            (out_dir / name).write_text(json.dumps(variant.to_dict(), indent=1) + "\n")
-        print(f"{len(splits)} leave-one-out variant(s) written to {out_dir}")
+        print(f"{len(variants)} {what} written to {out_dir}")
         return EXIT_OK
 
     raise ConfigurationError(f"unknown arc subcommand {args.arc_command!r}")
@@ -254,51 +213,31 @@ def cmd_arc(args) -> int:
 
 
 def cmd_game(args) -> int:
-    from .games import (
-        build_game,
-        coinflip_solvable,
-        ninja_guarantee,
-        random_policy,
-        sequence_max_len_with_witness,
-        simulate,
-        turbo_min_attempts,
-    )
+    from .games import build_game, exact_game, random_policy, sequence_max_len_with_witness, simulate
 
     name = args.name
+    exact = exact_game(name)
     params = [int(p) for p in args.params]
+    if len(params) != len(exact.params):
+        raise ConfigurationError(f"usage: game {name} {' '.join(p.upper() for p in exact.params)}")
+    game_params = dict(zip(exact.params, params))
     record: dict = {"game": name, "params": params}
 
-    if name == "coinflip":
-        if len(params) != 2:
-            raise ConfigurationError("usage: game coinflip M N")
-        value = coinflip_solvable(*params)
-        record["solvable"] = value
-        print(f"solvable: {'true' if value else 'false'}")
-    elif name == "sequence":
-        if len(params) != 1:
-            raise ConfigurationError("usage: game sequence BOUND")
-        value, witness = sequence_max_len_with_witness(params[0])
-        record["value"] = value
-        record["witness"] = list(witness)
-        print(f"L = {value}")
-        print(f"witness: {','.join(map(str, witness))}")
-    elif name == "ninja":
-        if len(params) != 1:
-            raise ConfigurationError("usage: game ninja N")
-        value = ninja_guarantee(params[0])
-        record["value"] = value
-        print(f"k = {value}")
-    elif name == "turbo":
-        if len(params) != 2:
-            raise ConfigurationError("usage: game turbo ROWS COLS")
-        value = turbo_min_attempts(*params)
-        record["value"] = value
-        print(f"n = {value}")
+    if name == "sequence":
+        value, witness = sequence_max_len_with_witness(*params)
     else:
-        raise ConfigurationError(f"no exact solver for game {name!r}")
+        value = exact.solve(*params)
+    if exact.answer_kind == "integer":
+        record["value"] = value
+        print(f"{exact.label} = {value}")
+    else:
+        record[exact.label] = value
+        print(f"{exact.label}: {'true' if value else 'false'}")
+    if name == "sequence":
+        record["witness"] = list(witness)
+        print(f"witness: {','.join(map(str, witness))}")
 
     if args.simulate:
-        game_params = dict(zip(_GAME_PARAM_NAMES[name], params))
         game = build_game(name, **game_params)
         trajectories = simulate(game, random_policy, args.simulate, args.seed or 0)
         record["simulation"] = {
@@ -314,14 +253,6 @@ def cmd_game(args) -> int:
     return EXIT_OK
 
 
-_GAME_PARAM_NAMES = {
-    "coinflip": ("m", "n"),
-    "sequence": ("bound",),
-    "ninja": ("n",),
-    "turbo": ("rows", "cols"),
-}
-
-
 # -- graph ------------------------------------------------------------------
 
 
@@ -330,9 +261,7 @@ def _graph_context(args) -> ExecutionContext:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             config = json.load(fh)
-        for s in config.get("solvers", []):
-            binding = SolverBinding(s["id"], s["kind"], s.get("params", {}))
-            solvers[binding.id] = resolve_solver(binding)
+        solvers = resolve_solvers(config.get("solvers", []), cache_root=Path(config.get("out", "runs")) / "cache")
     return ExecutionContext(solvers=solvers, seed=args.seed or 0)
 
 
@@ -344,13 +273,10 @@ def cmd_graph(args) -> int:
             task = _load_single_task(args.task)
             inputs.setdefault("task", task)
         outputs, trace = execute(graph, inputs, _graph_context(args))
-        print(json.dumps({"outputs": outputs, "trace": trace.to_json()},
-                         indent=2, sort_keys=True, default=repr))
+        text = json.dumps({"outputs": outputs, "trace": trace.to_json()}, indent=2, sort_keys=True, default=repr)
+        print(text)
         if args.out:
-            Path(args.out).write_text(
-                json.dumps({"outputs": outputs, "trace": trace.to_json()},
-                           indent=2, sort_keys=True, default=repr) + "\n"
-            )
+            Path(args.out).write_text(text + "\n")
         failed = [e.node_id for e in trace.entries if e.error]
         return EXIT_OK if not failed else EXIT_VERIFY_FAILED
 
@@ -409,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None)
 
     p_game = sub.add_parser("game", help="exact game solvers and simulation")
-    p_game.add_argument("name", choices=sorted(_GAME_PARAM_NAMES))
+    p_game.add_argument("name", help="a game with an exact solver")
     p_game.add_argument("params", nargs="+")
     p_game.add_argument("--simulate", type=int, default=0, metavar="EPISODES")
     p_game.add_argument("--out", default=None)

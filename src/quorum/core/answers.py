@@ -6,7 +6,7 @@ requires one canonical form per answer kind:
 * ``choice``  -- a single uppercase letter A..Z,
 * ``text``    -- trimmed, internal whitespace collapsed, case-folded,
 * ``integer`` -- the first signed decimal literal found in the text,
-* ``grid``    -- a :class:`~quorum.arc.grid.Grid`.
+* ``grid``    -- a :class:`~quorum.grids.Grid`.
 
 Normalization is deterministic and idempotent.
 """

@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .answers import ANSWER_KINDS, AnswerValue
+from ..errors import ConfigurationError, QuorumError
+from .answers import ANSWER_KINDS, AnswerValue, normalize_answer
 
 
 @dataclass(frozen=True)
@@ -15,10 +16,12 @@ class VerifierBinding:
     kind: str
     params: dict = field(default_factory=dict)
 
-    def accepts(self, answer_kind: str) -> bool:
-        from .verify import verifier_accepts  # local import to avoid a cycle
+    def check(self, answer_kind: str) -> None:
+        """Raise ConfigurationError unless this verifier can check
+        ``answer_kind`` answers with these parameters."""
+        from .verify import check_binding  # local import to avoid a cycle
 
-        return verifier_accepts(self.kind, answer_kind)
+        check_binding(self.kind, self.params, answer_kind)
 
 
 @dataclass(frozen=True)
@@ -39,10 +42,30 @@ class Task:
             raise ValueError(
                 f"reference kind {self.reference.kind!r} does not match task kind {self.answer_kind!r}"
             )
-        if self.verifier is not None and not self.verifier.accepts(self.answer_kind):
-            raise ValueError(
-                f"verifier {self.verifier.kind!r} does not accept answer kind {self.answer_kind!r}"
+        if self.verifier is not None:
+            self.verifier.check(self.answer_kind)
+
+    @classmethod
+    def from_dict(cls, entry: dict) -> "Task":
+        """Build a task from its JSON form (``id``, ``prompt``, ``answer_kind``,
+        optional ``category``, ``reference``, ``verifier``); any mistake in
+        it raises ConfigurationError."""
+        try:
+            kind = entry["answer_kind"]
+            reference = entry.get("reference")
+            verifier = entry.get("verifier")
+            return cls(
+                id=entry["id"],
+                category=entry.get("category", ""),
+                prompt=entry["prompt"],
+                answer_kind=kind,
+                reference=None if reference is None else normalize_answer(reference, kind),
+                verifier=None if verifier is None else VerifierBinding(verifier["kind"], verifier.get("params", {})),
             )
+        except KeyError as exc:
+            raise ConfigurationError(f"task {entry.get('id')!r} needs a {exc.args[0]!r} entry") from exc
+        except (ValueError, QuorumError) as exc:
+            raise ConfigurationError(f"task {entry.get('id')!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -123,11 +146,11 @@ class SolverBinding:
     """Declarative reference to a solver; resolved by the adapters module."""
 
     id: str
-    kind: str  # scripted | http-model | composite
+    kind: str  # scripted | http-model
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.id:
-            raise ValueError("solver id must be non-empty")
-        if self.kind not in ("scripted", "http-model", "composite"):
-            raise ValueError(f"unknown solver kind {self.kind!r}")
+            raise ConfigurationError("solver id must be non-empty")
+        if self.kind not in ("scripted", "http-model"):
+            raise ConfigurationError(f"unknown solver kind {self.kind!r}")

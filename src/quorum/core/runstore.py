@@ -123,19 +123,17 @@ class RunRecord:
         """Rebuild the task x solver boolean matrix from the cells."""
         from ..aggregate.matrix import ResultMatrix
 
-        task_ids, solver_ids = [], []
+        rows, columns = {}, {}  # id -> index, in first-seen order
         for cell in self.cells:
-            if cell.task_id not in task_ids:
-                task_ids.append(cell.task_id)
-            if cell.solver_id not in solver_ids:
-                solver_ids.append(cell.solver_id)
-        solved = [[False] * len(solver_ids) for _ in task_ids]
-        elapsed = [[None] * len(solver_ids) for _ in task_ids]
+            rows.setdefault(cell.task_id, len(rows))
+            columns.setdefault(cell.solver_id, len(columns))
+        solved = [[False] * len(columns) for _ in rows]
+        elapsed = [[None] * len(columns) for _ in rows]
         for cell in self.cells:
-            i, k = task_ids.index(cell.task_id), solver_ids.index(cell.solver_id)
+            i, k = rows[cell.task_id], columns[cell.solver_id]
             solved[i][k] = cell.verdict.is_pass
             elapsed[i][k] = cell.candidate.elapsed_ms
-        return ResultMatrix(task_ids, solver_ids, solved, elapsed)
+        return ResultMatrix(list(rows), list(columns), solved, elapsed)
 
 
 class RunStore:

@@ -12,23 +12,27 @@ from __future__ import annotations
 import time
 from typing import Callable
 
-from ..errors import IntractableError, MalformedAnswerError, QuorumError
+from ..errors import ConfigurationError, IntractableError, MalformedAnswerError, QuorumError
 from .answers import AnswerValue, normalize_answer
 from .model import Candidate, Check, Task, Verdict
 
 DEFAULT_TIMEOUT_S = 10.0
 
-# kind -> (accepted answer kinds, check function)
-_VERIFIERS: dict[str, tuple[frozenset, Callable]] = {}
+# kind -> (binding check, verify function)
+_VERIFIERS: dict[str, tuple[Callable[[dict, str], None], Callable]] = {}
 
 
-def register_verifier(kind: str, accepts: set[str], fn: Callable[[Task, Candidate, float], Verdict]):
-    _VERIFIERS[kind] = (frozenset(accepts), fn)
+def register_verifier(kind: str, check: Callable[[dict, str], None],
+                      fn: Callable[[Task, Candidate, float], Verdict]):
+    """``check(params, answer_kind)`` runs when a task is built and raises
+    ConfigurationError for a binding the verifier cannot run."""
+    _VERIFIERS[kind] = (check, fn)
 
 
-def verifier_accepts(kind: str, answer_kind: str) -> bool:
-    entry = _VERIFIERS.get(kind)
-    return entry is not None and answer_kind in entry[0]
+def check_binding(kind: str, params: dict, answer_kind: str) -> None:
+    if kind not in _VERIFIERS:
+        raise ConfigurationError(f"unknown verifier kind {kind!r}")
+    _VERIFIERS[kind][0](params, answer_kind)
 
 
 def verify(task: Task, candidate: Candidate, timeout_s: float = DEFAULT_TIMEOUT_S) -> Verdict:
@@ -40,11 +44,8 @@ def verify(task: Task, candidate: Candidate, timeout_s: float = DEFAULT_TIMEOUT_
     if candidate.is_error:
         return Verdict.errored(f"candidate error: {candidate.error}")
     if task.verifier is not None:
-        entry = _VERIFIERS.get(task.verifier.kind)
-        if entry is None:
-            return Verdict.errored(f"unknown verifier kind {task.verifier.kind!r}")
-        try:
-            return entry[1](task, candidate, timeout_s)
+        try:  # a built Task's verifier kind is registered
+            return _VERIFIERS[task.verifier.kind][1](task, candidate, timeout_s)
         except TimeoutError:
             return Verdict.errored("timeout")
         except IntractableError as exc:
@@ -77,10 +78,10 @@ def _check_reference(reference: AnswerValue, candidate: Candidate) -> Verdict:
 def _verify_arc_program(task: Task, candidate: Candidate, timeout_s: float) -> Verdict:
     from ..arc.dsl import parse_dsl
     from ..arc.programs import verify_program
-    from ..arc.task import ArcTask
+    from ..arc.task import as_arc_task
     from ..errors import DslSyntaxError
 
-    puzzle = ArcTask.from_dict(task.verifier.params["task"], task.verifier.params.get("id", task.id))
+    puzzle = as_arc_task(task.verifier.params["task"], task.verifier.params.get("id", task.id))
     if candidate.answer is None or candidate.answer.kind != "text":
         return Verdict.errored("malformed output: puzzle verifier expects program text")
     try:
@@ -103,5 +104,18 @@ def _verify_game_answer(task: Task, candidate: Candidate, timeout_s: float) -> V
     return _check_reference(reference, candidate)
 
 
-register_verifier("arc_program", {"text"}, _verify_arc_program)
-register_verifier("game_answer", {"integer", "text"}, _verify_game_answer)
+def _check_arc_binding(params: dict, answer_kind: str) -> None:
+    if answer_kind != "text":
+        raise ConfigurationError(f"arc_program checks program text, not {answer_kind} answers")
+    if "task" not in params:
+        raise ConfigurationError("arc_program needs the puzzle as its 'task' parameter")
+
+
+def _check_game_binding(params: dict, answer_kind: str) -> None:
+    from ..games import check_game_task
+
+    check_game_task(params, answer_kind)
+
+
+register_verifier("arc_program", _check_arc_binding, _verify_arc_program)
+register_verifier("game_answer", _check_game_binding, _verify_game_answer)

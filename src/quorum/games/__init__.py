@@ -1,5 +1,5 @@
 from .base import GameSpec, Trajectory, random_policy, replay, scripted_policy, simulate
-from .catalog import EXACT_GAMES, GAME_BUILDERS, build_game, exact_value
+from .catalog import EXACT_GAMES, GAME_BUILDERS, build_game, check_game_task, exact_game, exact_value
 from .coinflip import coinflip_game, coinflip_solvable, label_parities, move_masks
 from .ninja import best_path_reds, ninja_game, ninja_guarantee
 from .sequence import has_zero_window, sequence_game, sequence_max_len, sequence_max_len_with_witness
@@ -23,6 +23,8 @@ __all__ = [
     "EXACT_GAMES",
     "GAME_BUILDERS",
     "build_game",
+    "check_game_task",
+    "exact_game",
     "exact_value",
     "coinflip_game",
     "coinflip_solvable",

@@ -9,6 +9,7 @@ reward constants follow the published tables.
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Callable, NamedTuple
 
 from ..errors import ConfigurationError
 from .base import GameSpec
@@ -17,20 +18,47 @@ from .ninja import ninja_game, ninja_guarantee
 from .sequence import sequence_game, sequence_max_len
 from .turbo import turbo_game, turbo_min_attempts
 
-EXACT_GAMES = ("turbo", "coinflip", "sequence", "ninja")
+
+class ExactGame(NamedTuple):
+    """``solve(*params)`` is the game's value; tasks answer it as
+    ``answer_kind`` (a boolean as text) and ``quorum game`` prints it as
+    ``label``."""
+
+    params: tuple[str, ...]
+    solve: Callable
+    answer_kind: str
+    label: str
+
+
+EXACT_GAMES = {
+    "turbo": ExactGame(("rows", "cols"), turbo_min_attempts, "integer", "n"),
+    "coinflip": ExactGame(("m", "n"), coinflip_solvable, "text", "solvable"),
+    "sequence": ExactGame(("bound",), sequence_max_len, "integer", "L"),
+    "ninja": ExactGame(("n",), ninja_guarantee, "integer", "k"),
+}
+
+
+def exact_game(name: str) -> ExactGame:
+    if name not in EXACT_GAMES:
+        raise ConfigurationError(f"no exact solver for game {name!r}; known: {', '.join(sorted(EXACT_GAMES))}")
+    return EXACT_GAMES[name]
 
 
 def exact_value(name: str, **params):
     """Closed-form answer computed by the exact solver for one game."""
-    if name == "turbo":
-        return turbo_min_attempts(params["rows"], params["cols"])
-    if name == "coinflip":
-        return coinflip_solvable(params["m"], params["n"])
-    if name == "sequence":
-        return sequence_max_len(params["bound"])
-    if name == "ninja":
-        return ninja_guarantee(params["n"])
-    raise ConfigurationError(f"no exact solver for game {name!r}")
+    game = exact_game(name)
+    return game.solve(*(params[p] for p in game.params))
+
+
+def check_game_task(params: dict, answer_kind: str) -> None:
+    """Raise ConfigurationError unless ``params`` name an exact ``game``,
+    exactly its parameters, and the answer kind it is checked as."""
+    game = exact_game(params.get("game"))
+    given = sorted(set(params) - {"game"})
+    if given != sorted(game.params):
+        raise ConfigurationError(f"game {params['game']!r} takes {list(game.params)}, got {given}")
+    if answer_kind != game.answer_kind:
+        raise ConfigurationError(f"game {params['game']!r} is answered as {game.answer_kind}, not {answer_kind}")
 
 
 def set_cover_game(elements: int = 4, sets: int = 4) -> GameSpec:

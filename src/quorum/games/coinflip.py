@@ -71,12 +71,6 @@ def coinflip_solvable(m: int, n: int) -> bool:
     return bool(_bfs_reachable(m, n)[(1 << (m * n)) - 1])
 
 
-def reachable_count(m: int, n: int) -> int:
-    """Number of reachable board states (used by tests as a cross-check)."""
-    _check_dims(m, n)
-    return int(_bfs_reachable(m, n).sum())
-
-
 def label_parities(state: int, m: int, n: int) -> tuple[int, int, int]:
     """Parity of the head count on each (i+j) mod 3 label class."""
     counts = [0, 0, 0]

@@ -19,7 +19,6 @@ from ..seeds import derive_seed
 class ExecutionContext:
     solvers: dict = field(default_factory=dict)
     seed: int = 0
-    tasks: dict = field(default_factory=dict)  # core Task objects by id, for verification
 
     def solver(self, solver_id: str):
         if solver_id not in self.solvers:
@@ -89,12 +88,9 @@ def _fail(params, inputs, ctx, node_id):
 @register_op("puzzle_prompt", ("task",), ("prompt",))
 def _puzzle_prompt(params, inputs, ctx, node_id):
     from ..arc.prompts import format_prompt
-    from ..arc.task import ArcTask
+    from ..arc.task import as_arc_task
 
-    task = inputs["task"]
-    if isinstance(task, dict):
-        task = ArcTask.from_dict(task, task.get("id", "task"))
-    return {"prompt": format_prompt(task, params.get("style", "labeled"))}
+    return {"prompt": format_prompt(as_arc_task(inputs["task"]), params.get("style", "labeled"))}
 
 
 @register_op("solve_text", ("prompt",), ("text",))
@@ -108,13 +104,11 @@ def _solve_text(params, inputs, ctx, node_id):
 def _puzzle_verify(params, inputs, ctx, node_id):
     from ..arc.dsl import parse_dsl
     from ..arc.programs import verify_program
-    from ..arc.task import ArcTask
+    from ..arc.task import as_arc_task
     from ..core.runstore import verdict_to_json
     from ..errors import DslSyntaxError
 
-    task = inputs["task"]
-    if isinstance(task, dict):
-        task = ArcTask.from_dict(task, task.get("id", "task"))
+    task = as_arc_task(inputs["task"])
     try:
         program = parse_dsl(inputs["program_text"])
     except DslSyntaxError as exc:
@@ -128,43 +122,32 @@ def _puzzle_verify(params, inputs, ctx, node_id):
 
 @register_op("run_method", ("task",), ("answer", "passed", "n_samples"))
 def _run_method(params, inputs, ctx, node_id):
-    from ..core.answers import normalize_answer
     from ..core.model import Task
     from ..core.verify import verify
     from ..methods import MethodConfig, run_method
 
     task = inputs["task"]
     if isinstance(task, dict):
-        reference = task.get("reference")
-        task = Task(
-            id=task["id"],
-            category=task.get("category", ""),
-            prompt=task["prompt"],
-            answer_kind=task["answer_kind"],
-            reference=None if reference is None else normalize_answer(reference, task["answer_kind"]),
-        )
-    config = MethodConfig(
-        method_id=params.get("method_id", "zero_shot"),
-        n=params.get("n", 1),
-        rounds=params.get("rounds", 1),
-        weights=tuple(params["weights"]) if params.get("weights") else None,
-        params=params.get("method_params", {}),
+        task = Task.from_dict(task)
+    # A node keeps the method's own params under ``method_params`` and its
+    # ``extra_solver_ids`` beside them; a run config nests both in ``params``.
+    config = MethodConfig.from_dict(
+        {"method_id": "zero_shot", **params,
+         "params": {**params.get("method_params", {}), "extra_solver_ids": params.get("extra_solver_ids", [])}},
+        ctx.solvers,
     )
     solver = ctx.solver(params["solver_id"])
-    extra = [ctx.solver(s) for s in params.get("extra_solver_ids", [])]
-    use_verifier = params.get("use_verifier", True) and (task.reference is not None or task.verifier is not None)
+    verifiable = task.reference is not None or task.verifier is not None
     result = run_method(
         config,
         solver,
         task,
-        verifier=verify if use_verifier else None,
-        extra_solvers=extra,
+        verifier=verify if verifiable and params.get("use_verifier", True) else None,
         seed=derive_seed(ctx.seed, node_id),
     )
     cand = result.candidate
-    passed = verify(task, cand).is_pass if (task.reference or task.verifier) and cand.answer else False
     return {
         "answer": cand.answer.canonical_text() if cand.answer else None,
-        "passed": passed,
+        "passed": verifiable and cand.answer is not None and verify(task, cand).is_pass,
         "n_samples": len(result.trace.samples),
     }

@@ -13,8 +13,8 @@ from .combinators import (
     self_consistency,
     zero_shot,
 )
-from .config import METHOD_IDS, ConsensusReport, MethodConfig, Principles
-from .dispatch import run_method
+from .config import ConsensusReport, MethodConfig, Principles
+from .dispatch import METHODS, run_method
 
 __all__ = [
     "MethodResult",
@@ -30,7 +30,7 @@ __all__ = [
     "round_trip",
     "self_consistency",
     "zero_shot",
-    "METHOD_IDS",
+    "METHODS",
     "ConsensusReport",
     "MethodConfig",
     "Principles",

@@ -110,6 +110,15 @@ def _select_modal(samples, trace, solver_id, method_id, seed):
     return _aggregate_candidate(modal, samples, solver_id, method_id, seed)
 
 
+def _select_first_verified(samples, verdicts, trace, solver_id, method_id, seed):
+    """The first sample whose verdict passed, else the modal answer."""
+    for cand, verdict in zip(samples, verdicts):
+        if verdict is not None and verdict.is_pass:
+            trace.extras["selection"] = "first-verified"
+            return _aggregate_candidate(cand.answer, samples, solver_id, method_id, seed)
+    return _select_modal(samples, trace, solver_id, method_id, seed)
+
+
 # -- the methods -----------------------------------------------------------
 
 
@@ -140,20 +149,14 @@ def best_of_n(
     trace = MethodTrace("best_of_n")
     if verifier is None:
         trace.notes.append("no verifier: selecting by modal answer only")
-    samples, first_pass = [], None
+    samples, verdicts = [], []
     for i in range(n):
         cand = sample(solver, task, derive_seed(seed, i), method_id="best_of_n")
         verdict = verifier(task, cand) if verifier is not None else None
         trace.record(i, cand, verdict)
         samples.append(cand)
-        if verdict is not None and verdict.is_pass and first_pass is None:
-            first_pass = cand
-    if first_pass is not None:
-        trace.extras["selection"] = "first-verified"
-        return MethodResult(
-            _aggregate_candidate(first_pass.answer, samples, solver.id, "best_of_n", seed), trace
-        )
-    return MethodResult(_select_modal(samples, trace, solver.id, "best_of_n", seed), trace)
+        verdicts.append(verdict)
+    return MethodResult(_select_first_verified(samples, verdicts, trace, solver.id, "best_of_n", seed), trace)
 
 
 def self_consistency(solver, task: Task, n: int, seed: int) -> MethodResult:
@@ -460,7 +463,7 @@ def plan_search(
     if n_plans < 1:
         raise ConfigurationError("n_plans must be >= 1")
     trace = MethodTrace("plan_search")
-    samples, first_pass = [], None
+    samples, verdicts = [], []
     for i in range(n_plans):
         try:
             plan = solver.solve(task.id, f"Draft a short solution plan.\n{task.prompt}",
@@ -474,14 +477,8 @@ def plan_search(
         verdict = verifier(task, cand) if verifier is not None else None
         trace.record(i, cand, verdict, plan=plan)
         samples.append(cand)
-        if verdict is not None and verdict.is_pass and first_pass is None:
-            first_pass = cand
-    if first_pass is not None:
-        trace.extras["selection"] = "first-verified"
-        return MethodResult(
-            _aggregate_candidate(first_pass.answer, samples, solver.id, "plan_search", seed), trace
-        )
-    return MethodResult(_select_modal(samples, trace, solver.id, "plan_search", seed), trace)
+        verdicts.append(verdict)
+    return MethodResult(_select_first_verified(samples, verdicts, trace, solver.id, "plan_search", seed), trace)
 
 
 PRINCIPLE_PROMPT = (

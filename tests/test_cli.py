@@ -96,6 +96,33 @@ class TestEval:
     def test_missing_config_is_exit_2(self, tmp_path, capsys):
         assert main(["eval", "--config", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize(
+        "task_edit,method_edit",
+        [
+            ({"answer_kind": "bogus"}, {}),
+            ({"prompt": None}, {}),
+            ({"answer_kind": "integer", "reference": None,
+              "verifier": {"kind": "game_answer", "params": {"game": "coinflip", "m": 2, "n": 3}}}, {}),
+            ({"answer_kind": "text", "reference": None, "verifier": {"kind": "arc_program", "params": {}}}, {}),
+            ({}, {"method_id": "prover_verifier", "params": {"verifier_solver_id": "nobody"}}),
+            ({}, {"method_id": "mixture_of_agents", "params": {"extra_solver_ids": ["nobody"]}}),
+        ],
+        ids=["unknown-answer-kind", "no-prompt", "coinflip-as-integer", "puzzle-without-task",
+             "unknown-verifier-solver", "unknown-extra-solver"],
+    )
+    def test_config_mistakes_are_exit_2(self, tmp_path, capsys, task_edit, method_edit):
+        task = {"id": "t1", "category": "demo", "prompt": "first?", "answer_kind": "choice", "reference": "A"}
+        task = {k: v for k, v in {**task, **task_edit}.items() if v is not None}  # None drops a key
+        (tmp_path / "tasks.json").write_text(json.dumps([task]))
+        config = {
+            "solvers": [{"id": "s", "kind": "scripted", "params": {"table": {"*": [["A", 1.0]]}}}],
+            "methods": [{"method_id": "zero_shot", **method_edit}],
+            "tasks": str(tmp_path / "tasks.json"),
+        }
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        assert main(["eval", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "r")]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_repeated_method_id_gets_distinct_columns(self, tmp_path, capsys):
         tasks = [{"id": "t", "category": "", "prompt": "?", "answer_kind": "choice", "reference": "A"}]
         (tmp_path / "tasks.json").write_text(json.dumps(tasks))
@@ -316,6 +343,38 @@ class TestGraphCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["outputs"]["passed"] is True
         assert len(payload["trace"]["entries"]) == 3
+
+    def test_graph_verifies_tasks_as_eval_does(self, tmp_path, capsys):
+        # The olympiad template on a game task, and a run_method graph on a
+        # puzzle task through abtest: the tasks' verifiers judge the answers.
+        from quorum.fixtures import graph_template
+
+        game_task = {"id": "g1", "category": "game", "prompt": "ninja 6", "answer_kind": "integer",
+                     "verifier": {"kind": "game_answer", "params": {"game": "ninja", "n": 6}}}
+        config = tmp_path / "solvers.json"
+        config.write_text(json.dumps({"solvers": [
+            {"id": "primary", "kind": "scripted", "params": {"table": {"g1": [["3", 1.0]],
+                                                                       "p1": [["rotate180", 1.0]]}}},
+        ]}))
+        olympiad = tmp_path / "olympiad.json"
+        graph_template("olympiad_pipeline").save(olympiad)
+        code = main(["graph", "run", "--graph", str(olympiad), "--inputs", json.dumps({"task": game_task}),
+                     "--config", str(config)])
+        assert code == 0
+        outputs = json.loads(capsys.readouterr().out)["outputs"]
+        assert outputs["answer"] == "3" and outputs["passed"] is True
+
+        puzzle_task = {"id": "p1", "category": "puzzle", "prompt": "Write the program.", "answer_kind": "text",
+                       "verifier": {"kind": "arc_program", "params": {"task": ROT180_TASK}}}
+        (tmp_path / "tasks.json").write_text(json.dumps([puzzle_task]))
+        graph = graph_template("olympiad_pipeline").to_json()
+        graph["nodes"]["attempt"]["params"]["n"] = 1
+        small = tmp_path / "small.json"
+        small.write_text(json.dumps(graph))
+        out = tmp_path / "matrix.json"
+        assert main(["graph", "abtest", "--graphs", str(olympiad), str(small), "--tasks",
+                     str(tmp_path / "tasks.json"), "--config", str(config), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["solved"] == [[1, 1]]
 
     def test_bad_graph_file_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
