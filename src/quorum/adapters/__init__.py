@@ -1,4 +1,5 @@
 from ..core.model import SolverBinding
+from ..errors import ConfigurationError
 from .base import Solver, SolverError, sample, supports_two_stage
 from .chat import (
     ChatAuthError,
@@ -37,7 +38,10 @@ def resolve_solvers(entries, cache_root) -> dict:
     """
     solvers = {}
     for entry in entries:
-        binding = SolverBinding(entry["id"], entry["kind"], entry.get("params", {}))
+        try:
+            binding = SolverBinding(entry["id"], entry["kind"], entry.get("params", {}))
+        except KeyError as exc:
+            raise ConfigurationError(f"solver {entry.get('id')!r} needs a {exc.args[0]!r} entry") from exc
         params = binding.params
         if binding.kind == "scripted":
             solver = ScriptedSolver(

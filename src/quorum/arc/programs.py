@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from typing import Union
 
 from ..core.model import Check, Verdict
-from ..errors import GridBoundsError, QuorumError
+from ..errors import DslSyntaxError, GridBoundsError, QuorumError
 from ..grids import Grid
+from . import dsl
 from .dsl import DslProgram, eval_dsl
 from .task import ArcTask
 
@@ -104,6 +105,16 @@ def verify_program(program: Program, task: ArcTask, timeout_s: float = 10.0) -> 
     if all(c.passed for c in checks):
         return Verdict.passed(checks)
     return Verdict.failed(checks)
+
+
+def check_program_text(text: str, task: ArcTask, timeout_s: float = 10.0) -> Verdict:
+    """``verify_program`` on the DSL program ``text`` spells; text that
+    does not parse is a malformed-output error verdict."""
+    try:
+        program = dsl.parse_dsl(text)  # looked up when called, like verify_program
+    except DslSyntaxError as exc:
+        return Verdict.errored(f"malformed output: {exc}")
+    return verify_program(program, task, timeout_s=timeout_s)
 
 
 def predict(program: Program, task: ArcTask, timeout_s: float = 10.0, unsafe: bool = False) -> list[Grid]:

@@ -91,12 +91,11 @@ def cmd_eval(args) -> int:
             columns.append((mc, sid, f"{label}@{sid}"))
 
     def run_cell(task: Task, mc: MethodConfig, sid: str):
-        use_verifier = task.verifier is not None or task.reference is not None
         result = run_method(
             mc,
             solvers[sid],
             task,
-            verifier=verify if use_verifier else None,
+            verifier=verify if task.check is not None else None,
             seed=derive_seed(seed, task.id, sid, mc.method_id),
         )
         verdict = verify(task, result.candidate)
@@ -217,9 +216,13 @@ def cmd_game(args) -> int:
 
     name = args.name
     exact = exact_game(name)
-    params = [int(p) for p in args.params]
+    usage = ConfigurationError(f"usage: game {name} {' '.join(p.upper() for p in exact.params)} (integers)")
+    try:
+        params = [int(p) for p in args.params]
+    except ValueError as exc:
+        raise usage from exc
     if len(params) != len(exact.params):
-        raise ConfigurationError(f"usage: game {name} {' '.join(p.upper() for p in exact.params)}")
+        raise usage
     game_params = dict(zip(exact.params, params))
     record: dict = {"game": name, "params": params}
 

@@ -1,7 +1,7 @@
 from .answers import ANSWER_KINDS, AnswerValue, normalize_answer
-from .model import Candidate, Check, SolverBinding, Task, Verdict, VerifierBinding
+from .model import Candidate, Check, SolverBinding, Task, Verdict, VerifierBinding, register_verifier
 from .runstore import CellRecord, RunRecord, RunStore
-from .verify import register_verifier, verify
+from .verify import verify
 
 __all__ = [
     "ANSWER_KINDS",

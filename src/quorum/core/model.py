@@ -3,10 +3,23 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
-from ..errors import ConfigurationError, QuorumError
+from ..errors import ConfigurationError, MalformedAnswerError, QuorumError
 from .answers import ANSWER_KINDS, AnswerValue, normalize_answer
+
+# verifier kind -> bind(params, answer_kind, task_id) -> check
+_VERIFIERS: dict[str, Callable] = {}
+
+
+def register_verifier(kind: str, bind: Callable) -> None:
+    """``bind(params, answer_kind, task_id)`` runs once, when a task is
+    built.  It raises ConfigurationError for a binding the verifier cannot
+    run, and returns the task's ``check(candidate, timeout_s) -> Verdict``
+    with all task-only work already done.  The check is shared between
+    threads, so it holds only immutable state."""
+    _VERIFIERS[kind] = bind
 
 
 @dataclass(frozen=True)
@@ -15,13 +28,6 @@ class VerifierBinding:
 
     kind: str
     params: dict = field(default_factory=dict)
-
-    def check(self, answer_kind: str) -> None:
-        """Raise ConfigurationError unless this verifier can check
-        ``answer_kind`` answers with these parameters."""
-        from .verify import check_binding  # local import to avoid a cycle
-
-        check_binding(self.kind, self.params, answer_kind)
 
 
 @dataclass(frozen=True)
@@ -32,6 +38,9 @@ class Task:
     answer_kind: str
     reference: Optional[AnswerValue] = None
     verifier: Optional[VerifierBinding] = None
+    # check(candidate, timeout_s) -> Verdict, bound from the verifier, else
+    # from the reference; None for an unverifiable task
+    check: Optional[Callable] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.id:
@@ -42,8 +51,14 @@ class Task:
             raise ValueError(
                 f"reference kind {self.reference.kind!r} does not match task kind {self.answer_kind!r}"
             )
+        check = None
         if self.verifier is not None:
-            self.verifier.check(self.answer_kind)
+            if self.verifier.kind not in _VERIFIERS:
+                raise ConfigurationError(f"unknown verifier kind {self.verifier.kind!r}")
+            check = _VERIFIERS[self.verifier.kind](self.verifier.params, self.answer_kind, self.id)
+        elif self.reference is not None:
+            check = partial(check_reference, self.reference)
+        object.__setattr__(self, "check", check)
 
     @classmethod
     def from_dict(cls, entry: dict) -> "Task":
@@ -139,6 +154,26 @@ class Verdict:
     @property
     def is_pass(self) -> bool:
         return self.status == "pass"
+
+
+def check_reference(reference: AnswerValue, candidate: Candidate, timeout_s: float) -> Verdict:
+    """Pass iff the candidate's answer, normalized as the reference's kind,
+    equals the reference (at once, so ``timeout_s`` goes unused)."""
+    got = candidate.answer
+    if got is None:
+        return Verdict.errored("candidate has no answer")
+    if got.kind != reference.kind:
+        try:
+            got = normalize_answer(got.canonical_text(), reference.kind)
+        except MalformedAnswerError as exc:
+            return Verdict.errored(f"malformed output: {exc}")
+    ok = got == reference
+    check = Check(
+        "reference-equality",
+        ok,
+        f"expected {reference.canonical_text()!r}, got {got.canonical_text()!r}",
+    )
+    return Verdict.passed([check]) if ok else Verdict.failed([check])
 
 
 @dataclass(frozen=True)

@@ -1,38 +1,23 @@
 """Candidate verification.
 
 ``verify`` is pure and deterministic: for a given (task, candidate) pair
-it always returns the same verdict.  Tasks either carry a registered
-verifier binding (puzzle train-pair execution, exact game values) or a
-reference answer compared after normalization.  Tasks with neither are
-unverifiable and yield an error verdict rather than a guess.
+it always returns the same verdict.  A task binds its check once, when it
+is built: a registered verifier (puzzle train-pair execution, exact game
+values) or its reference answer compared after normalization.  Tasks with
+neither are unverifiable and yield an error verdict rather than a guess.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Callable
+from functools import partial
 
-from ..errors import ConfigurationError, IntractableError, MalformedAnswerError, QuorumError
-from .answers import AnswerValue, normalize_answer
-from .model import Candidate, Check, Task, Verdict
+from ..arc import programs  # the module: its functions are looked up when called
+from ..arc.task import TaskFormatError, as_arc_task
+from ..errors import ConfigurationError, QuorumError
+from .answers import normalize_answer
+from .model import Candidate, Task, Verdict, check_reference, register_verifier
 
 DEFAULT_TIMEOUT_S = 10.0
-
-# kind -> (binding check, verify function)
-_VERIFIERS: dict[str, tuple[Callable[[dict, str], None], Callable]] = {}
-
-
-def register_verifier(kind: str, check: Callable[[dict, str], None],
-                      fn: Callable[[Task, Candidate, float], Verdict]):
-    """``check(params, answer_kind)`` runs when a task is built and raises
-    ConfigurationError for a binding the verifier cannot run."""
-    _VERIFIERS[kind] = (check, fn)
-
-
-def check_binding(kind: str, params: dict, answer_kind: str) -> None:
-    if kind not in _VERIFIERS:
-        raise ConfigurationError(f"unknown verifier kind {kind!r}")
-    _VERIFIERS[kind][0](params, answer_kind)
 
 
 def verify(task: Task, candidate: Candidate, timeout_s: float = DEFAULT_TIMEOUT_S) -> Verdict:
@@ -43,79 +28,40 @@ def verify(task: Task, candidate: Candidate, timeout_s: float = DEFAULT_TIMEOUT_
     """
     if candidate.is_error:
         return Verdict.errored(f"candidate error: {candidate.error}")
-    if task.verifier is not None:
-        try:  # a built Task's verifier kind is registered
-            return _VERIFIERS[task.verifier.kind][1](task, candidate, timeout_s)
-        except TimeoutError:
-            return Verdict.errored("timeout")
-        except IntractableError as exc:
-            return Verdict.errored(f"verifier intractable: {exc}")
-        except QuorumError as exc:
-            return Verdict.errored(f"verifier error: {exc}")
-    if task.reference is not None:
-        return _check_reference(task.reference, candidate)
-    return Verdict.errored("unverifiable: task has no verifier and no reference answer")
+    if task.check is None:
+        return Verdict.errored("unverifiable: task has no verifier and no reference answer")
+    return task.check(candidate, timeout_s)
 
 
-def _check_reference(reference: AnswerValue, candidate: Candidate) -> Verdict:
-    got = candidate.answer
-    if got is None:
-        return Verdict.errored("candidate has no answer")
-    if got.kind != reference.kind:
-        try:
-            got = normalize_answer(got.canonical_text(), reference.kind)
-        except MalformedAnswerError as exc:
-            return Verdict.errored(f"malformed output: {exc}")
-    ok = got == reference
-    check = Check(
-        "reference-equality",
-        ok,
-        f"expected {reference.canonical_text()!r}, got {got.canonical_text()!r}",
-    )
-    return Verdict.passed([check]) if ok else Verdict.failed([check])
-
-
-def _verify_arc_program(task: Task, candidate: Candidate, timeout_s: float) -> Verdict:
-    from ..arc.dsl import parse_dsl
-    from ..arc.programs import verify_program
-    from ..arc.task import as_arc_task
-    from ..errors import DslSyntaxError
-
-    puzzle = as_arc_task(task.verifier.params["task"], task.verifier.params.get("id", task.id))
+def _check_program(puzzle, candidate: Candidate, timeout_s: float) -> Verdict:
     if candidate.answer is None or candidate.answer.kind != "text":
         return Verdict.errored("malformed output: puzzle verifier expects program text")
-    try:
-        program = parse_dsl(candidate.answer.payload)
-    except DslSyntaxError as exc:
-        return Verdict.errored(f"malformed output: {exc}")
-    return verify_program(program, puzzle, timeout_s=timeout_s)
+    return programs.check_program_text(candidate.answer.payload, puzzle, timeout_s)
 
 
-def _verify_game_answer(task: Task, candidate: Candidate, timeout_s: float) -> Verdict:
-    from ..games import exact_value
-
-    params = dict(task.verifier.params)
-    name = params.pop("game")
-    deadline = time.monotonic() + timeout_s
-    value = exact_value(name, **params)
-    if time.monotonic() > deadline:
-        raise TimeoutError
-    reference = normalize_answer(str(value), task.answer_kind)
-    return _check_reference(reference, candidate)
-
-
-def _check_arc_binding(params: dict, answer_kind: str) -> None:
+def _bind_arc_program(params: dict, answer_kind: str, task_id: str):
     if answer_kind != "text":
         raise ConfigurationError(f"arc_program checks program text, not {answer_kind} answers")
     if "task" not in params:
         raise ConfigurationError("arc_program needs the puzzle as its 'task' parameter")
+    try:
+        puzzle = as_arc_task(params["task"], params.get("id", task_id))
+    except TaskFormatError as exc:
+        raise ConfigurationError(f"arc_program puzzle: {exc}") from exc
+    return partial(_check_program, puzzle)
 
 
-def _check_game_binding(params: dict, answer_kind: str) -> None:
-    from ..games import check_game_task
+def _bind_game_answer(params: dict, answer_kind: str, task_id: str):
+    from ..games import check_game_task, exact_value  # local import: games load on first use
 
     check_game_task(params, answer_kind)
+    name = params["game"]
+    try:
+        value = exact_value(name, **{k: v for k, v in params.items() if k != "game"})
+    except (QuorumError, TypeError) as exc:
+        raise ConfigurationError(f"game {name!r}: {exc}") from exc
+    return partial(check_reference, normalize_answer(str(value), answer_kind))
 
 
-register_verifier("arc_program", _check_arc_binding, _verify_arc_program)
-register_verifier("game_answer", _check_game_binding, _verify_game_answer)
+register_verifier("arc_program", _bind_arc_program)
+register_verifier("game_answer", _bind_game_answer)

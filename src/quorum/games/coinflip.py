@@ -90,11 +90,7 @@ def coinflip_game(m: int, n: int) -> GameSpec:
         for j in range(n - 1):
             moves.append((i, j, "tr"))
             moves.append((i, j, "bl"))
-    mask_of = {}
-    for i, j, which in moves:
-        base = (1 << (i * n + j)) | (1 << ((i + 1) * n + (j + 1)))
-        extra = (i * n + (j + 1)) if which == "tr" else ((i + 1) * n + j)
-        mask_of[(i, j, which)] = base | (1 << extra)
+    mask_of = dict(zip(moves, move_masks(m, n)))
 
     def transition(state, action, rng):
         nxt = state[0] ^ mask_of[action]

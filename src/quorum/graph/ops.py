@@ -102,21 +102,11 @@ def _solve_text(params, inputs, ctx, node_id):
 
 @register_op("puzzle_verify", ("program_text", "task"), ("verdict", "passed"))
 def _puzzle_verify(params, inputs, ctx, node_id):
-    from ..arc.dsl import parse_dsl
-    from ..arc.programs import verify_program
+    from ..arc.programs import check_program_text
     from ..arc.task import as_arc_task
     from ..core.runstore import verdict_to_json
-    from ..errors import DslSyntaxError
 
-    task = as_arc_task(inputs["task"])
-    try:
-        program = parse_dsl(inputs["program_text"])
-    except DslSyntaxError as exc:
-        from ..core.model import Verdict
-
-        verdict = Verdict.errored(f"malformed output: {exc}")
-    else:
-        verdict = verify_program(program, task)
+    verdict = check_program_text(inputs["program_text"], as_arc_task(inputs["task"]))
     return {"verdict": verdict_to_json(verdict), "passed": verdict.is_pass}
 
 
@@ -137,7 +127,7 @@ def _run_method(params, inputs, ctx, node_id):
         ctx.solvers,
     )
     solver = ctx.solver(params["solver_id"])
-    verifiable = task.reference is not None or task.verifier is not None
+    verifiable = task.check is not None
     result = run_method(
         config,
         solver,

@@ -18,7 +18,6 @@ class MethodConfig:
     n: int = 1  # samples / rollouts / plans / retries, per method
     weights: Optional[tuple[float, ...]] = None
     rounds: int = 1
-    seed: int = 0
     params: dict = field(default_factory=dict)
     extra_solvers: tuple = ()  # mixture agents beside the cell's solver
     verifier_solver: Optional[Any] = None  # the judge of prover_verifier
@@ -28,10 +27,10 @@ class MethodConfig:
 
         if self.method_id not in METHODS:
             raise ConfigurationError(f"unknown method {self.method_id!r}")
-        if self.n < 1:
-            raise ConfigurationError("n must be >= 1")
-        if self.rounds < 1:
-            raise ConfigurationError("rounds must be >= 1")
+        for name in ("n", "rounds"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
         if self.weights is not None:
             if any(w < 0 for w in self.weights):
                 raise ConfigurationError("weights must be non-negative")

@@ -13,7 +13,7 @@ configs can name any method uniformly.  Method-specific knobs live in
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from ..core.model import Task
 from ..errors import ConfigurationError
@@ -53,11 +53,5 @@ METHODS: dict[str, Callable[..., m.MethodResult]] = {
 }
 
 
-def run_method(
-    config: MethodConfig,
-    solver,
-    task: Task,
-    verifier=None,
-    seed: Optional[int] = None,
-) -> m.MethodResult:
-    return METHODS[config.method_id](config, solver, task, verifier, config.seed if seed is None else seed)
+def run_method(config: MethodConfig, solver, task: Task, verifier=None, *, seed: int) -> m.MethodResult:
+    return METHODS[config.method_id](config, solver, task, verifier, seed)

@@ -97,25 +97,40 @@ class TestEval:
         assert main(["eval", "--config", str(tmp_path / "nope.json")]) == 2
 
     @pytest.mark.parametrize(
-        "task_edit,method_edit",
+        "task_edit,method_edit,solver_edit",
         [
-            ({"answer_kind": "bogus"}, {}),
-            ({"prompt": None}, {}),
+            ({"answer_kind": "bogus"}, {}, {}),
+            ({"prompt": None}, {}, {}),
             ({"answer_kind": "integer", "reference": None,
-              "verifier": {"kind": "game_answer", "params": {"game": "coinflip", "m": 2, "n": 3}}}, {}),
-            ({"answer_kind": "text", "reference": None, "verifier": {"kind": "arc_program", "params": {}}}, {}),
-            ({}, {"method_id": "prover_verifier", "params": {"verifier_solver_id": "nobody"}}),
-            ({}, {"method_id": "mixture_of_agents", "params": {"extra_solver_ids": ["nobody"]}}),
+              "verifier": {"kind": "game_answer", "params": {"game": "coinflip", "m": 2, "n": 3}}}, {}, {}),
+            ({"answer_kind": "text", "reference": None, "verifier": {"kind": "arc_program", "params": {}}}, {}, {}),
+            ({}, {"method_id": "prover_verifier", "params": {"verifier_solver_id": "nobody"}}, {}),
+            ({}, {"method_id": "mixture_of_agents", "params": {"extra_solver_ids": ["nobody"]}}, {}),
+            ({}, {}, {"id": None}),
+            ({}, {"n": "3"}, {}),
+            ({}, {"rounds": "2"}, {}),
+            ({"answer_kind": "text", "reference": None,
+              "verifier": {"kind": "arc_program",
+                           "params": {"task": {"train": [{"input": [[1, 2], [3]], "output": [[1]]}]}}}}, {}, {}),
+            ({"answer_kind": "integer", "reference": None,
+              "verifier": {"kind": "game_answer", "params": {"game": "ninja", "n": 9}}}, {}, {}),
+            ({"answer_kind": "integer", "reference": None,
+              "verifier": {"kind": "game_answer", "params": {"game": "ninja", "n": "6"}}}, {}, {}),
         ],
         ids=["unknown-answer-kind", "no-prompt", "coinflip-as-integer", "puzzle-without-task",
-             "unknown-verifier-solver", "unknown-extra-solver"],
+             "unknown-verifier-solver", "unknown-extra-solver", "solver-without-id", "n-as-text",
+             "rounds-as-text", "ragged-puzzle-grid", "intractable-game", "game-parameter-as-text"],
     )
-    def test_config_mistakes_are_exit_2(self, tmp_path, capsys, task_edit, method_edit):
-        task = {"id": "t1", "category": "demo", "prompt": "first?", "answer_kind": "choice", "reference": "A"}
-        task = {k: v for k, v in {**task, **task_edit}.items() if v is not None}  # None drops a key
+    def test_config_mistakes_are_exit_2(self, tmp_path, capsys, task_edit, method_edit, solver_edit):
+        def edited(entry, edit):  # None drops a key
+            return {k: v for k, v in {**entry, **edit}.items() if v is not None}
+
+        task = edited({"id": "t1", "category": "demo", "prompt": "first?", "answer_kind": "choice", "reference": "A"},
+                      task_edit)
         (tmp_path / "tasks.json").write_text(json.dumps([task]))
         config = {
-            "solvers": [{"id": "s", "kind": "scripted", "params": {"table": {"*": [["A", 1.0]]}}}],
+            "solvers": [edited({"id": "s", "kind": "scripted", "params": {"table": {"*": [["A", 1.0]]}}},
+                               solver_edit)],
             "methods": [{"method_id": "zero_shot", **method_edit}],
             "tasks": str(tmp_path / "tasks.json"),
         }
@@ -314,7 +329,9 @@ class TestGameCli:
         assert main(["game", "coinflip", "6", "6"]) == 2
 
     def test_bad_arity_is_exit_2(self, capsys):
-        assert main(["game", "coinflip", "2"]) == 2
+        for argv in (["game", "coinflip", "2"], ["game", "coinflip", "x", "3"]):
+            assert main(argv) == 2
+            assert "usage: game coinflip M N" in capsys.readouterr().err
 
 
 def _solver_config(tmp_path, program_text="rotate180"):

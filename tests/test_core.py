@@ -112,6 +112,15 @@ class TestVerdict:
         assert Verdict.errored("timeout").detail == "timeout"
 
 
+ROT90_PUZZLE = {
+    "train": [
+        {"input": [[1, 2], [3, 4]], "output": [[3, 1], [4, 2]]},
+        {"input": [[5, 0]], "output": [[5], [0]]},
+    ],
+    "test": [],
+}
+
+
 def _task(task_id="t", reference="3", kind="integer", **kw):
     ref = None if reference is None else normalize_answer(reference, kind)
     return Task(id=task_id, category="test", prompt="?", answer_kind=kind, reference=ref, **kw)
@@ -144,19 +153,12 @@ class TestVerify:
         assert verify(_task(), cand).status == "error"
 
     def test_arc_program_verifier(self):
-        payload = {
-            "train": [
-                {"input": [[1, 2], [3, 4]], "output": [[3, 1], [4, 2]]},
-                {"input": [[5, 0]], "output": [[5], [0]]},
-            ],
-            "test": [],
-        }
         task = Task(
             id="rot",
             category="puzzle",
             prompt="?",
             answer_kind="text",
-            verifier=VerifierBinding("arc_program", {"task": payload}),
+            verifier=VerifierBinding("arc_program", {"task": ROT90_PUZZLE}),
         )
         good = verify(task, _candidate("rotate90", kind="text"))
         assert good.is_pass
@@ -175,6 +177,35 @@ class TestVerify:
         )
         assert verify(task, _candidate("k = 3")).is_pass
         assert verify(task, _candidate("4")).status == "fail"
+
+    def test_task_only_work_runs_once_per_task(self, monkeypatch):
+        # The exact game value and the parsed puzzle are bound when the
+        # task is built, not recomputed by every verify.
+        from quorum.arc.task import ArcTask
+        from quorum.games import EXACT_GAMES
+
+        calls = {"solve": 0, "parse": 0}
+        ninja = EXACT_GAMES["ninja"]
+        from_dict = ArcTask.from_dict.__func__
+
+        def counting_solve(*params):
+            calls["solve"] += 1
+            return ninja.solve(*params)
+
+        def counting_from_dict(cls, data, task_id):
+            calls["parse"] += 1
+            return from_dict(cls, data, task_id)
+
+        monkeypatch.setitem(EXACT_GAMES, "ninja", ninja._replace(solve=counting_solve))
+        monkeypatch.setattr(ArcTask, "from_dict", classmethod(counting_from_dict))
+        game = Task(id="tri", category="game", prompt="?", answer_kind="integer",
+                    verifier=VerifierBinding("game_answer", {"game": "ninja", "n": 6}))
+        puzzle = Task(id="rot", category="puzzle", prompt="?", answer_kind="text",
+                      verifier=VerifierBinding("arc_program", {"task": ROT90_PUZZLE}))
+        for _ in range(10):
+            assert verify(game, _candidate("3")).is_pass
+            assert verify(puzzle, _candidate("rotate90", kind="text")).is_pass
+        assert calls == {"solve": 1, "parse": 1}
 
     def test_deterministic_over_repetitions(self):
         task = _task(reference="3")
