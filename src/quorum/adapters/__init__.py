@@ -58,6 +58,9 @@ def resolve_solvers(entries, cache_root) -> dict:
                 },
             )
         else:  # http-model, the only other kind a binding admits
+            for key in ("base_url", "model"):
+                if not isinstance(params.get(key), str):
+                    raise ConfigurationError(f"http-model solver {binding.id!r} needs a string {key!r} param")
             client = ChatClient(
                 base_url=params["base_url"],
                 model=params["model"],

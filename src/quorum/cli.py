@@ -21,6 +21,7 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from itertools import product
 from pathlib import Path
 
 from .adapters import ChatSolver, resolve_solvers
@@ -63,9 +64,10 @@ def cmd_eval(args) -> int:
     config = _load_eval_config(args.config)
     seed = args.seed if args.seed is not None else config.get("seed", 0)
     out_root = Path(args.out or config.get("out", "runs"))
-    parallel = args.parallel or config.get("parallel", 1)
 
     solvers = resolve_solvers(config["solvers"], cache_root=out_root / "cache")
+    # Without an http-model solver a cell is CPU-bound Python that threads
+    # only slow down, and its record must be byte-reproducible.
     deterministic = all(not isinstance(s, ChatSolver) for s in solvers.values())
     method_configs = [MethodConfig.from_dict(entry, solvers) for entry in config["methods"]]
 
@@ -90,7 +92,8 @@ def cmd_eval(args) -> int:
         for sid in sorted(solvers):
             columns.append((mc, sid, f"{label}@{sid}"))
 
-    def run_cell(task: Task, mc: MethodConfig, sid: str):
+    def run_cell(cell) -> CellRecord:
+        task, (mc, sid, col) = cell
         result = run_method(
             mc,
             solvers[sid],
@@ -98,34 +101,22 @@ def cmd_eval(args) -> int:
             verifier=verify if task.check is not None else None,
             seed=derive_seed(seed, task.id, sid, mc.method_id),
         )
-        verdict = verify(task, result.candidate)
-        return result, verdict
+        return CellRecord(
+            task_id=task.id,
+            solver_id=col,
+            candidate=result.candidate,
+            verdict=verify(task, result.candidate),
+            ts_ms=0 if deterministic else int(time.time() * 1000),
+            trace=result.trace.to_json(),
+        )
 
-    jobs = [(task, mc, sid, col) for task in tasks for mc, sid, col in columns]
-    results = {}
-    if parallel > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            futures = {pool.submit(run_cell, t, mc, sid): (t.id, col) for t, mc, sid, col in jobs}
-            for future, key in futures.items():
-                results[key] = future.result()
+    # Both mappers yield in (task, column) order, so the record is canonical.
+    cells = product(tasks, columns)
+    if deterministic or (args.parallel or 1) <= 1:
+        record = RunRecord(run_id, config_snapshot, list(map(run_cell, cells)))
     else:
-        for t, mc, sid, col in jobs:
-            results[(t.id, col)] = run_cell(t, mc, sid)
-
-    record = RunRecord(run_id, config_snapshot)
-    for task in tasks:
-        for mc, sid, col in columns:
-            result, verdict = results[(task.id, col)]
-            record.add(
-                CellRecord(
-                    task_id=task.id,
-                    solver_id=col,
-                    candidate=result.candidate,
-                    verdict=verdict,
-                    ts_ms=0 if deterministic else int(time.time() * 1000),
-                    trace=result.trace.to_json(),
-                )
-            )
+        with ThreadPoolExecutor(max_workers=args.parallel) as pool:
+            record = RunRecord(run_id, config_snapshot, list(pool.map(run_cell, cells)))
 
     store = RunStore(out_root)
     store.record_run(record)
@@ -317,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="run a task x solver x method sweep")
     p_eval.add_argument("--config", required=True)
-    p_eval.add_argument("--parallel", type=int, default=None)
+    p_eval.add_argument("--parallel", type=int, default=None, metavar="K",
+                        help="run up to K http-model cells at a time; scripted sweeps run serially")
     p_eval.add_argument("--out", default=None)
 
     p_arc = sub.add_parser("arc", help="puzzle verification pipeline")

@@ -180,6 +180,3 @@ class RunStore:
                         raise RecordParseError(f"corrupt cell record: {exc}", offset) from exc
                 offset += len(raw)
         return RunRecord(run_id, config, cells)
-
-    def list_runs(self) -> list[str]:
-        return sorted(p.name for p in self.root.iterdir() if (p / "record.jsonl").exists())

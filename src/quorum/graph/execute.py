@@ -2,9 +2,10 @@
 
 Nodes run in one canonical topological order.  A node failure halts its
 downstream dependents (recorded as skipped); independent branches keep
-running.  The trace lists every executed node exactly once with input
-and output digests, so two runs with the same seeds are comparable
-digest for digest.
+running.  A node that raises ``ConfigurationError`` stops the run with
+it instead, since no other node can mend a config mistake.  The trace
+lists every executed node exactly once with input and output digests,
+so two runs with the same seeds are comparable digest for digest.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..errors import ConfigurationError
 from .model import PipelineGraph
 from .ops import ExecutionContext, op_def
 
@@ -116,6 +118,8 @@ def execute(
         start = time.monotonic()
         try:
             out = definition.fn(node.params, node_inputs, ctx, node_id)
+        except ConfigurationError:
+            raise  # a config mistake is the caller's to report, not a node failure
         except Exception as exc:  # node errors are data, not crashes
             elapsed = int((time.monotonic() - start) * 1000)
             trace.entries.append(TraceEntry(node_id, digest(node_inputs), digest(None), elapsed, str(exc)))

@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import GridBoundsError
 
 MAX_SIDE = 30
@@ -48,10 +46,6 @@ class Grid:
         return cls(tuple(tuple(int(v) for v in row) for row in rows))
 
     @classmethod
-    def from_array(cls, arr: np.ndarray) -> "Grid":
-        return cls.from_rows(np.asarray(arr).tolist())
-
-    @classmethod
     def from_text(cls, text: str) -> "Grid":
         """Parse digit rows, one line per row (the wire format)."""
         lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
@@ -63,9 +57,6 @@ class Grid:
                 raise GridBoundsError(f"non-digit character in grid row {ln!r}")
             rows.append([int(ch) for ch in ln])
         return cls.from_rows(rows)
-
-    def to_array(self) -> np.ndarray:
-        return np.array(self.cells, dtype=np.int8)
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.cells]

@@ -32,11 +32,14 @@ class MethodConfig:
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
         if self.weights is not None:
-            if any(w < 0 for w in self.weights):
-                raise ConfigurationError("weights must be non-negative")
+            if not all(isinstance(w, (int, float)) and not isinstance(w, bool) and w >= 0 for w in self.weights):
+                raise ConfigurationError(f"weights must be non-negative numbers, got {list(self.weights)!r}")
             total = sum(self.weights)
             if abs(total - 1.0) > WEIGHT_TOL:
                 raise ConfigurationError(f"weights sum to {total}, not 1")
+            agents = 1 + len(self.extra_solvers)  # the cell's solver, then the extra ones
+            if self.method_id == "mixture_of_agents" and len(self.weights) != agents:
+                raise ConfigurationError(f"mixture_of_agents has {agents} agent(s) but {len(self.weights)} weights")
 
     @classmethod
     def from_dict(cls, entry: dict, solvers: Mapping) -> "MethodConfig":

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from hashlib import sha256
 from pathlib import Path
 
@@ -93,6 +94,50 @@ class TestEval:
             records.append((run_dir / "record.jsonl").read_bytes())
         assert records[0] == records[1]
 
+    def test_scripted_cells_run_on_the_main_thread(self, eval_setup, monkeypatch):
+        from quorum.adapters import ScriptedSolver
+
+        threads = []
+        solve = ScriptedSolver.solve
+
+        def recording_solve(self, *args):
+            threads.append(threading.current_thread())
+            return solve(self, *args)
+
+        monkeypatch.setattr(ScriptedSolver, "solve", recording_solve)
+        config_file, tmp_path = eval_setup
+        assert main(["eval", "--config", str(config_file), "--out", str(tmp_path / "r"), "--parallel", "4"]) == 0
+        assert threads and set(threads) == {threading.main_thread()}
+
+    def test_http_model_cells_run_on_the_pool(self, eval_setup, monkeypatch):
+        from quorum.adapters import ChatClient
+
+        threads = []
+
+        def fake_complete(self, prompt, seed=0):  # a function of (model, prompt, seed); opens no socket
+            threads.append(threading.current_thread())
+            return "AB"[sha256(f"{self.model}|{prompt}|{seed}".encode()).digest()[0] % 2]
+
+        monkeypatch.setattr(ChatClient, "complete", fake_complete)
+        config_file, tmp_path = eval_setup
+        config = json.loads(config_file.read_text())
+        config["solvers"] = [{"id": model, "kind": "http-model", "params": {
+            "base_url": "http://127.0.0.1:9", "model": model, "api_key_env": None}} for model in ("m1", "m2")]
+        config_file.write_text(json.dumps(config))
+        records = []
+        for label, flags in (("serial", []), ("parallel", ["--parallel", "4"])):
+            threads.clear()
+            out = tmp_path / label
+            assert main(["eval", "--config", str(config_file), "--out", str(out), *flags]) == 0
+            on_main = {t is threading.main_thread() for t in threads}
+            assert on_main == ({True} if label == "serial" else {False})
+            [run_dir] = [p for p in out.iterdir() if p.name.startswith("run-")]
+            cells = [json.loads(line) for line in (run_dir / "record.jsonl").read_text().splitlines()]
+            for cell in cells:
+                del cell["ts_ms"], cell["candidate"]["elapsed_ms"]
+            records.append(cells)
+        assert len(records[0]) == 2 * 4 and records[0] == records[1]
+
     def test_missing_config_is_exit_2(self, tmp_path, capsys):
         assert main(["eval", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -116,10 +161,16 @@ class TestEval:
               "verifier": {"kind": "game_answer", "params": {"game": "ninja", "n": 9}}}, {}, {}),
             ({"answer_kind": "integer", "reference": None,
               "verifier": {"kind": "game_answer", "params": {"game": "ninja", "n": "6"}}}, {}, {}),
+            ({}, {}, {"kind": "http-model", "params": {"model": "m"}}),
+            ({}, {}, {"kind": "http-model", "params": {"base_url": "http://127.0.0.1:9"}}),
+            ({}, {"method_id": "mixture_of_agents", "weights": ["a"]}, {}),
+            ({}, {"method_id": "mixture_of_agents", "weights": [0.5, 0.5]}, {}),
         ],
         ids=["unknown-answer-kind", "no-prompt", "coinflip-as-integer", "puzzle-without-task",
              "unknown-verifier-solver", "unknown-extra-solver", "solver-without-id", "n-as-text",
-             "rounds-as-text", "ragged-puzzle-grid", "intractable-game", "game-parameter-as-text"],
+             "rounds-as-text", "ragged-puzzle-grid", "intractable-game", "game-parameter-as-text",
+             "http-model-without-base-url", "http-model-without-model", "weights-as-text",
+             "mixture-weight-count"],
     )
     def test_config_mistakes_are_exit_2(self, tmp_path, capsys, task_edit, method_edit, solver_edit):
         def edited(entry, edit):  # None drops a key
@@ -392,6 +443,27 @@ class TestGraphCli:
         assert main(["graph", "abtest", "--graphs", str(olympiad), str(small), "--tasks",
                      str(tmp_path / "tasks.json"), "--config", str(config), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["solved"] == [[1, 1]]
+
+    @pytest.mark.parametrize("case", ["bad-task", "unknown-solver"])
+    def test_node_config_mistake_is_exit_2(self, tmp_path, capsys, case):
+        from quorum.fixtures import graph_template
+
+        if case == "bad-task":  # the olympiad template's run_method node builds the task
+            graph = tmp_path / "olympiad.json"
+            graph_template("olympiad_pipeline").save(graph)
+            task = {"id": "q", "prompt": "?", "answer_kind": "bogus"}
+            argv = ["--inputs", json.dumps({"task": task})]
+            message = "configuration error: task 'q': unknown answer kind 'bogus'"
+        else:  # the puzzle template's solve_text node names 'synthesizer'
+            graph = self._template_path(tmp_path)
+            solvers = tmp_path / "other.json"
+            solvers.write_text(json.dumps({"solvers": [{"id": "other", "kind": "scripted", "params": {}}]}))
+            task_file = tmp_path / "rot.json"
+            task_file.write_text(json.dumps(ROT180_TASK))
+            argv = ["--task", str(task_file), "--config", str(solvers)]
+            message = "configuration error: no solver 'synthesizer'"
+        assert main(["graph", "run", "--graph", str(graph), *argv]) == 2
+        assert message in capsys.readouterr().err
 
     def test_bad_graph_file_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -14,6 +14,7 @@ from quorum.adapters import ScriptedSolver, TransformSolver
 from quorum.core import Task, normalize_answer, verify
 from quorum.errors import ConfigurationError
 from quorum.methods import (
+    MethodConfig,
     best_of_n,
     consensus,
     leap,
@@ -189,6 +190,14 @@ class TestMixtureOfAgents:
         solver = ScriptedSolver("a", {"*": [("A", 1.0)]})
         with pytest.raises(ConfigurationError):
             mixture_of_agents([solver], [0.5, 0.5], _task(), seed=0)
+
+    def test_weight_count_checked_when_config_is_built(self):
+        solvers = {"a": ScriptedSolver("a", {"*": [("A", 1.0)]}), "b": ScriptedSolver("b", {"*": [("B", 1.0)]})}
+        entry = {"method_id": "mixture_of_agents", "params": {"extra_solver_ids": ["b"]}}
+        assert MethodConfig.from_dict({**entry, "weights": [0.6, 0.4]}, solvers).weights == (0.6, 0.4)
+        for weights in ([1.0], [0.5, 0.25, 0.25]):  # the cell's solver plus one extra agent
+            with pytest.raises(ConfigurationError, match="mixture_of_agents has 2 agent"):
+                MethodConfig.from_dict({**entry, "weights": weights}, solvers)
 
 
 class TestMctsResample:

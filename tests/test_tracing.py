@@ -1,0 +1,72 @@
+"""The benchmark's per-layer tracer still sees every layer of ``quorum eval``.
+
+``benchmarks/tracing.py`` wraps functions where their callers look them
+up, so renaming or inlining one of those lookups silently zeroes a
+per-layer metric.  ``install()`` patches module globals for the life of
+the process, so the traced run happens in a fresh interpreter.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+ROT180_TASK = {
+    "train": [
+        {"input": [[1, 2], [3, 4]], "output": [[4, 3], [2, 1]]},
+        {"input": [[5, 0, 1]], "output": [[1, 0, 5]]},
+    ],
+    "test": [{"input": [[1, 1], [0, 2]], "output": [[2, 0], [1, 1]]}],
+}
+
+TASKS = [
+    {"id": "r", "category": "ref", "prompt": "Pick one.", "answer_kind": "choice", "reference": "A"},
+    {"id": "p", "category": "puzzle", "prompt": "Write the program.", "answer_kind": "text",
+     "verifier": {"kind": "arc_program", "params": {"task": ROT180_TASK}}},
+    {"id": "g", "category": "game", "prompt": "ninja 6", "answer_kind": "integer",
+     "verifier": {"kind": "game_answer", "params": {"game": "ninja", "n": 6}}},
+]
+
+TRACED_RUN = """
+import json, sys
+import tracing
+from quorum.cli import main
+
+config, out, result = sys.argv[1:]
+tracer = tracing.install()
+code = main(["eval", "--config", config, "--parallel", "2", "--out", out])
+cells = int((tracer.table()[:, 1] == tracer.codes["cell"]).sum())
+with open(result, "w") as fh:
+    json.dump({"code": code, "cells": cells, "metrics": tracing.layer_metrics(tracer, 1)}, fh)
+"""
+
+
+def test_benchmark_tracer_sees_every_eval_layer(tmp_path):
+    (tmp_path / "tasks.json").write_text(json.dumps(TASKS))
+    table = {"r": [["A", 0.5], ["B", 0.5]], "p": [["rotate180", 0.5], ["identity", 0.5]],
+             "g": [["3", 0.5], ["4", 0.5]]}
+    config = {
+        "solvers": [{"id": "s", "kind": "scripted", "params": {"table": table}}],
+        "methods": [{"method_id": "best_of_n", "n": 2}, {"method_id": "zero_shot"}],
+        "tasks": str(tmp_path / "tasks.json"),
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "benchmarks"), str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = tmp_path / "result.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(tmp_path / "config.json"), str(tmp_path / "runs"), str(result)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    traced = json.loads(result.read_text())
+    assert traced["code"] == 0
+    assert traced["cells"] == len(TASKS) * len(config["methods"])
+    metrics = traced["metrics"]
+    for layer in ("core.verify.reference", "core.verify.arc_program", "core.verify.game_answer",
+                  "adapters.sample", "seeds.derive_seed"):
+        assert metrics[f"{layer}.calls"] > 0, layer
