@@ -1,5 +1,5 @@
 from ..core.model import SolverBinding
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, json_object
 from .base import Solver, SolverError, sample, supports_two_stage
 from .chat import (
     ChatAuthError,
@@ -38,24 +38,21 @@ def resolve_solvers(entries, cache_root) -> dict:
     """
     solvers = {}
     for entry in entries:
+        json_object(entry, "a solver entry")
         try:
             binding = SolverBinding(entry["id"], entry["kind"], entry.get("params", {}))
         except KeyError as exc:
             raise ConfigurationError(f"solver {entry.get('id')!r} needs a {exc.args[0]!r} entry") from exc
+        if binding.id in solvers:
+            raise ConfigurationError(f"two solvers have the id {binding.id!r}")
         params = binding.params
         if binding.kind == "scripted":
             solver = ScriptedSolver(
                 binding.id,
-                table={k: [tuple(e) for e in v] for k, v in params.get("table", {}).items()},
+                table=params.get("table", {}),
                 rng_seed=params.get("rng_seed", 0),
-                prompt_triggers={
-                    t: {k: [tuple(e) for e in v] for k, v in tab.items()}
-                    for t, tab in params.get("prompt_triggers", {}).items()
-                },
-                two_stage={
-                    k: [(pre, p, [tuple(e) for e in tab]) for pre, p, tab in v]
-                    for k, v in params.get("two_stage", {}).items()
-                },
+                prompt_triggers=params.get("prompt_triggers", {}),
+                two_stage=params.get("two_stage", {}),
             )
         else:  # http-model, the only other kind a binding admits
             for key in ("base_url", "model"):

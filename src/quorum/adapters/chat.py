@@ -159,14 +159,18 @@ class ChatClient:
                 trace.append({"attempt": attempt, "source": "network", "error": str(exc)})
                 continue
             if resp.status_code == 200:
-                payload = resp.json()
-                self._cache_write(key, body, payload)
-                trace.append({"attempt": attempt, "source": "network", "status": 200, "key": key})
-                try:
-                    return payload["choices"][0]["message"]["content"]
-                except (KeyError, IndexError, TypeError) as exc:
-                    raise ChatRequestError(f"malformed response payload: {exc}") from exc
-            last_error = _error_for_status(resp.status_code, resp.text)
+                try:  # a body that is not a chat completion is a server fault: retried, never cached
+                    payload = resp.json()
+                    reply = payload["choices"][0]["message"]["content"]
+                except (ValueError, LookupError, TypeError):
+                    reply = None
+                if isinstance(reply, str):
+                    self._cache_write(key, body, payload)
+                    trace.append({"attempt": attempt, "source": "network", "status": 200, "key": key})
+                    return reply
+                last_error = ChatServerError(f"HTTP 200 without a chat completion: {resp.text[:200]}")
+            else:
+                last_error = _error_for_status(resp.status_code, resp.text)
             trace.append({"attempt": attempt, "source": "network", "status": resp.status_code})
             if isinstance(last_error, (ChatAuthError, ChatRequestError)):
                 raise last_error  # retrying cannot fix these

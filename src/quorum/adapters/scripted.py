@@ -11,7 +11,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, json_object
 from ..seeds import rng_for, uniform_for
 from .base import SolverError
 
@@ -21,12 +21,30 @@ PROB_TOL = 1e-9
 AnswerTable = Sequence[tuple[str, float]]
 
 
-def _check_table(table: AnswerTable, where: str):
+def _as_table(entries, where: str) -> tuple[tuple[str, float], ...]:
+    """``entries`` as (answer, probability) pairs whose probabilities are
+    non-negative and sum to 1, else a ConfigurationError."""
+    if not isinstance(entries, (list, tuple)) or not all(
+        isinstance(e, (list, tuple)) and len(e) == 2 and isinstance(e[0], str)
+        and isinstance(e[1], (int, float)) and not isinstance(e[1], bool) for e in entries
+    ):
+        raise ConfigurationError(f"{where}: expected a list of [answer, probability] pairs, got {entries!r}")
+    table = tuple(map(tuple, entries))
     total = sum(p for _, p in table)
     if abs(total - 1.0) > PROB_TOL:
         raise ConfigurationError(f"probabilities for {where} sum to {total}, not 1")
     if any(p < 0 for _, p in table):
         raise ConfigurationError(f"negative probability in {where}")
+    return table
+
+
+def _as_stages(stages, key: str) -> tuple[tuple[str, float, tuple], ...]:
+    """``stages`` as (prefix, probability, completion table) triples."""
+    if not isinstance(stages, (list, tuple)) or not all(isinstance(s, (list, tuple)) and len(s) == 3 for s in stages):
+        raise ConfigurationError(f"two-stage entries of {key!r}: expected a list of [prefix, probability, table], "
+                                 f"got {stages!r}")
+    _as_table([(pre, p) for pre, p, _ in stages], f"two-stage prefixes of {key!r}")
+    return tuple((pre, p, _as_table(tab, f"completions of prefix {pre!r}")) for pre, p, tab in stages)
 
 
 def _draw(table: AnswerTable, u: float) -> str:
@@ -63,21 +81,14 @@ class ScriptedSolver:
         if not id:
             raise ConfigurationError("solver id must be non-empty")
         self.id = id
-        self.table = {k: tuple(v) for k, v in table.items()}
+        self.table = {k: _as_table(v, f"task {k!r}") for k, v in json_object(table, f"{id} table").items()}
         self.rng_seed = rng_seed
         self.prompt_triggers = {
-            trig: {k: tuple(v) for k, v in tab.items()} for trig, tab in (prompt_triggers or {}).items()
+            trig: {k: _as_table(v, f"trigger {trig!r} task {k!r}")
+                   for k, v in json_object(tab, f"{id} trigger {trig!r}").items()}
+            for trig, tab in json_object(prompt_triggers or {}, f"{id} prompt_triggers").items()
         }
-        self.two_stage = {k: tuple(v) for k, v in (two_stage or {}).items()}
-        for key, tab in self.table.items():
-            _check_table(tab, f"task {key!r}")
-        for trig, tabs in self.prompt_triggers.items():
-            for key, tab in tabs.items():
-                _check_table(tab, f"trigger {trig!r} task {key!r}")
-        for key, stages in self.two_stage.items():
-            _check_table([(pre, p) for pre, p, _ in stages], f"two-stage prefixes of {key!r}")
-            for pre, _, tab in stages:
-                _check_table(tab, f"completions of prefix {pre!r}")
+        self.two_stage = {k: _as_stages(v, k) for k, v in json_object(two_stage or {}, f"{id} two_stage").items()}
 
     def _table_for(self, task_id: str, prompt: str) -> AnswerTable:
         for trig in sorted(self.prompt_triggers):

@@ -20,6 +20,7 @@ import hashlib
 import json
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 from pathlib import Path
@@ -32,8 +33,7 @@ from .arc.programs import ExternalProgram, predict, verify_program
 from .arc.task import load_tasks_with_errors
 from .core.model import Task
 from .core.runstore import CellRecord, RunRecord, RunStore
-from .core.verify import verify
-from .errors import ConfigurationError, DslSyntaxError, IntractableError, QuorumError
+from .errors import ConfigurationError, DslSyntaxError, IntractableError, QuorumError, json_object
 from .graph.execute import execute
 from .graph.model import GraphValidationError, PipelineGraph
 from .graph.ops import ExecutionContext
@@ -53,16 +53,21 @@ EXIT_INTERNAL = 3
 
 def _load_eval_config(path: str) -> dict:
     with open(path) as fh:
-        config = json.load(fh)
+        config = json_object(json.load(fh), "an eval config")
     for key in ("solvers", "methods", "tasks"):
         if key not in config:
             raise ConfigurationError(f"eval config needs a {key!r} entry")
+    for key in ("solvers", "methods"):
+        if not isinstance(config[key], list) or not config[key]:
+            raise ConfigurationError(f"eval config {key!r} must be a non-empty list, got {config[key]!r}")
     return config
 
 
 def cmd_eval(args) -> int:
     config = _load_eval_config(args.config)
     seed = args.seed if args.seed is not None else config.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigurationError(f"seed must be an integer, got {seed!r}")
     out_root = Path(args.out or config.get("out", "runs"))
 
     solvers = resolve_solvers(config["solvers"], cache_root=out_root / "cache")
@@ -76,6 +81,9 @@ def cmd_eval(args) -> int:
         tasks = [Task.from_dict(e) for e in json.load(fh)]
     if not tasks:
         raise ConfigurationError(f"no tasks in {task_path}")
+    repeated = [i for i, count in Counter(t.id for t in tasks).items() if count > 1]
+    if repeated:
+        raise ConfigurationError(f"{task_path}: two tasks have the id {repeated[0]!r}")
 
     config_snapshot = {"config": config, "seed": seed}
     run_id = "run-" + hashlib.sha256(
@@ -94,18 +102,12 @@ def cmd_eval(args) -> int:
 
     def run_cell(cell) -> CellRecord:
         task, (mc, sid, col) = cell
-        result = run_method(
-            mc,
-            solvers[sid],
-            task,
-            verifier=verify if task.check is not None else None,
-            seed=derive_seed(seed, task.id, sid, mc.method_id),
-        )
+        result, verdict = run_method(mc, solvers[sid], task, seed=derive_seed(seed, task.id, sid, mc.method_id))
         return CellRecord(
             task_id=task.id,
             solver_id=col,
             candidate=result.candidate,
-            verdict=verify(task, result.candidate),
+            verdict=verdict,
             ts_ms=0 if deterministic else int(time.time() * 1000),
             trace=result.trace.to_json(),
         )

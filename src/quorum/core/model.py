@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
 
-from ..errors import ConfigurationError, MalformedAnswerError, QuorumError
+from ..errors import ConfigurationError, MalformedAnswerError, QuorumError, json_object
 from .answers import ANSWER_KINDS, AnswerValue, normalize_answer
 
 # verifier kind -> bind(params, answer_kind, task_id) -> check
@@ -28,6 +28,9 @@ class VerifierBinding:
 
     kind: str
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        json_object(self.params, f"verifier {self.kind!r} params")
 
 
 @dataclass(frozen=True)
@@ -65,6 +68,7 @@ class Task:
         """Build a task from its JSON form (``id``, ``prompt``, ``answer_kind``,
         optional ``category``, ``reference``, ``verifier``); any mistake in
         it raises ConfigurationError."""
+        json_object(entry, "a task")
         try:
             kind = entry["answer_kind"]
             reference = entry.get("reference")
@@ -75,7 +79,8 @@ class Task:
                 prompt=entry["prompt"],
                 answer_kind=kind,
                 reference=None if reference is None else normalize_answer(reference, kind),
-                verifier=None if verifier is None else VerifierBinding(verifier["kind"], verifier.get("params", {})),
+                verifier=None if verifier is None else VerifierBinding(
+                    json_object(verifier, "its verifier")["kind"], verifier.get("params", {})),
             )
         except KeyError as exc:
             raise ConfigurationError(f"task {entry.get('id')!r} needs a {exc.args[0]!r} entry") from exc
@@ -189,3 +194,4 @@ class SolverBinding:
             raise ConfigurationError("solver id must be non-empty")
         if self.kind not in ("scripted", "http-model"):
             raise ConfigurationError(f"unknown solver kind {self.kind!r}")
+        json_object(self.params, f"solver {self.id!r} params")

@@ -13,6 +13,13 @@ class ConfigurationError(QuorumError):
     """Invalid solver/method/run configuration."""
 
 
+def json_object(value, what: str) -> dict:
+    """``value`` if it is a JSON object (a dict), else a ConfigurationError naming ``what``."""
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
 class GridBoundsError(QuorumError):
     """A grid operation left the legal 1..30 / color 0..9 envelope."""
 

@@ -1,7 +1,7 @@
 from .execute import Trace, TraceEntry, digest, execute
 from .model import Edge, GraphValidationError, NodeDef, PipelineGraph
 from .mutate import MUTATION_KINDS, Mutation, MutationError, mutate
-from .ops import ExecutionContext, known_ops, op_def, register_op
+from .ops import ExecutionContext, op_def, register_op
 from .revise import ab_test, parse_proposal_line, propose_revision
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "MutationError",
     "mutate",
     "ExecutionContext",
-    "known_ops",
     "op_def",
     "register_op",
     "ab_test",

@@ -1,9 +1,9 @@
 """Operation registry for pipeline nodes.
 
 Each operation declares its input and output ports and a function
-``fn(params, inputs, ctx) -> dict of outputs``.  The execution context
-carries the solver registry, the root seed, and the verification hook,
-so nodes stay declarative and serializable.
+``fn(params, inputs, ctx, node_id) -> dict of outputs``.  The execution
+context carries the solver registry and the root seed, so nodes stay
+declarative and serializable.
 """
 
 from __future__ import annotations
@@ -51,10 +51,6 @@ def op_def(name: str) -> OpDef:
     if name not in _REGISTRY:
         raise GraphValidationError(f"unknown operation {name!r}")
     return _REGISTRY[name]
-
-
-def known_ops() -> list[str]:
-    return sorted(_REGISTRY)
 
 
 @register_op("const", (), ("value",))
@@ -112,32 +108,23 @@ def _puzzle_verify(params, inputs, ctx, node_id):
 
 @register_op("run_method", ("task",), ("answer", "passed", "n_samples"))
 def _run_method(params, inputs, ctx, node_id):
+    """``params`` are one ``methods`` entry of an eval config plus the
+    ``solver_id`` of the cell's solver; the node runs that cell as eval does."""
     from ..core.model import Task
-    from ..core.verify import verify
     from ..methods import MethodConfig, run_method
 
     task = inputs["task"]
     if isinstance(task, dict):
         task = Task.from_dict(task)
-    # A node keeps the method's own params under ``method_params`` and its
-    # ``extra_solver_ids`` beside them; a run config nests both in ``params``.
-    config = MethodConfig.from_dict(
-        {"method_id": "zero_shot", **params,
-         "params": {**params.get("method_params", {}), "extra_solver_ids": params.get("extra_solver_ids", [])}},
-        ctx.solvers,
-    )
-    solver = ctx.solver(params["solver_id"])
-    verifiable = task.check is not None
-    result = run_method(
-        config,
-        solver,
-        task,
-        verifier=verify if verifiable and params.get("use_verifier", True) else None,
-        seed=derive_seed(ctx.seed, node_id),
-    )
-    cand = result.candidate
+    entry = dict(params)
+    if "solver_id" not in entry:
+        raise ConfigurationError(f"run_method node {node_id!r} needs a 'solver_id'")
+    solver = ctx.solver(entry.pop("solver_id"))
+    result, verdict = run_method(MethodConfig.from_dict(entry, ctx.solvers), solver, task,
+                                 seed=derive_seed(ctx.seed, node_id))
+    answer = result.candidate.answer
     return {
-        "answer": cand.answer.canonical_text() if cand.answer else None,
-        "passed": verifiable and cand.answer is not None and verify(task, cand).is_pass,
+        "answer": answer.canonical_text() if answer else None,
+        "passed": verdict.is_pass,
         "n_samples": len(result.trace.samples),
     }

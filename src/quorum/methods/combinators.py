@@ -21,9 +21,9 @@ from ..core.answers import AnswerValue
 from ..core.model import Candidate, Task, Verdict
 from ..errors import ConfigurationError
 from ..seeds import derive_seed
-from .config import WEIGHT_TOL, ConsensusReport, Principles
 
 VerifierFn = Callable[[Task, Candidate], Verdict]
+WEIGHT_TOL = 1e-9
 
 
 @dataclass
@@ -58,6 +58,21 @@ class MethodTrace:
 class MethodResult:
     candidate: Candidate
     trace: MethodTrace
+
+
+@dataclass(frozen=True)
+class ConsensusReport:
+    """Agreement of a candidate pool with its modal answer."""
+
+    modal_answer: AnswerValue
+    c: Fraction
+    diversity: Fraction
+
+    def __post_init__(self):
+        if not 0 <= self.c <= 1:
+            raise ValueError(f"consensus {self.c} outside [0,1]")
+        if self.diversity != 1 - self.c:
+            raise ValueError("diversity must equal 1 - c exactly")
 
 
 def modal_answer(answers: Sequence[AnswerValue]) -> AnswerValue:
@@ -479,6 +494,21 @@ def plan_search(
         samples.append(cand)
         verdicts.append(verdict)
     return MethodResult(_select_first_verified(samples, verdicts, trace, solver.id, "plan_search", seed), trace)
+
+
+@dataclass(frozen=True)
+class Principles:
+    """Rules distilled from worked examples, used to steer a solver."""
+
+    items: tuple[str, ...]
+    source_examples: tuple[tuple[str, str], ...] = ()
+
+    def __post_init__(self):
+        if self.source_examples and not self.items:
+            raise ConfigurationError("principles derived from examples must be non-empty")
+
+    def render(self) -> str:
+        return "\n".join(f"- {item}" for item in self.items)
 
 
 PRINCIPLE_PROMPT = (

@@ -1,15 +1,42 @@
-"""Method configuration and report types."""
+"""The method table, a run config's ``methods`` entries, and ``run_method``,
+which runs one cell for ``quorum eval`` and the graph ``run_method`` op.
+
+Method-specific knobs live in ``params``: ``rto`` takes ``forward_prompt``
+/ ``backward_prompt``, ``leap`` takes ``examples`` as ``[input, answer]``
+pairs, and ``extra_solver_ids`` / ``verifier_solver_id`` name solvers."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Any, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional
 
-from ..core.answers import AnswerValue
-from ..errors import ConfigurationError
+from ..core.model import Task, Verdict
+from ..errors import ConfigurationError, json_object
+from . import combinators as m
 
-WEIGHT_TOL = 1e-9
+# method id -> call(config, solver, task, verifier, seed).  Each call looks
+# its function up on the combinators module when it runs, so a wrapper set
+# there later is the one called.
+METHODS: dict[str, Callable[..., m.MethodResult]] = {
+    "zero_shot": lambda c, solver, task, verifier, seed: m.zero_shot(solver, task, seed),
+    "best_of_n": lambda c, solver, task, verifier, seed: m.best_of_n(solver, verifier, task, c.n, seed),
+    "self_consistency": lambda c, solver, task, verifier, seed: m.self_consistency(solver, task, c.n, seed),
+    "mixture_of_agents": lambda c, solver, task, verifier, seed: m.mixture_of_agents(
+        [solver, *c.extra_solvers], list(c.weights) if c.weights is not None else None, task, seed
+    ),
+    "mcts": lambda c, solver, task, verifier, seed: m.mcts_resample(solver, verifier, task, c.n, seed),
+    "rto": lambda c, solver, task, verifier, seed: m.round_trip(
+        solver, c.params.get("forward_prompt", "{input}"), c.params.get("backward_prompt", "{output}"),
+        task, seed, n=c.n,
+    ),
+    "prover_verifier": lambda c, solver, task, verifier, seed: m.prover_verifier(
+        solver, c.verifier_solver, task, c.rounds, seed
+    ),
+    "plan_search": lambda c, solver, task, verifier, seed: m.plan_search(solver, task, c.n, seed, verifier=verifier),
+    "leap": lambda c, solver, task, verifier, seed: m.leap(
+        solver, [tuple(pair) for pair in c.params.get("examples", [])], task, seed
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -23,19 +50,19 @@ class MethodConfig:
     verifier_solver: Optional[Any] = None  # the judge of prover_verifier
 
     def __post_init__(self):
-        from .dispatch import METHODS  # local import: dispatch imports this module
-
         if self.method_id not in METHODS:
             raise ConfigurationError(f"unknown method {self.method_id!r}")
         for name in ("n", "rounds"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
+        if self.method_id == "prover_verifier" and self.verifier_solver is None:
+            raise ConfigurationError("prover_verifier needs a 'verifier_solver_id' param naming its judge")
         if self.weights is not None:
             if not all(isinstance(w, (int, float)) and not isinstance(w, bool) and w >= 0 for w in self.weights):
                 raise ConfigurationError(f"weights must be non-negative numbers, got {list(self.weights)!r}")
             total = sum(self.weights)
-            if abs(total - 1.0) > WEIGHT_TOL:
+            if abs(total - 1.0) > m.WEIGHT_TOL:
                 raise ConfigurationError(f"weights sum to {total}, not 1")
             agents = 1 + len(self.extra_solvers)  # the cell's solver, then the extra ones
             if self.method_id == "mixture_of_agents" and len(self.weights) != agents:
@@ -45,9 +72,15 @@ class MethodConfig:
     def from_dict(cls, entry: dict, solvers: Mapping) -> "MethodConfig":
         """Parse one ``methods`` entry of a run config, looking up the solver
         ids in its ``params`` (``extra_solver_ids``, ``verifier_solver_id``)."""
-        if "method_id" not in entry:
+        if "method_id" not in json_object(entry, "a method entry"):
             raise ConfigurationError("method entry needs a 'method_id'")
-        params = entry.get("params", {})
+        unknown = sorted(set(entry) - {"method_id", "n", "rounds", "weights", "params"})
+        if unknown:
+            raise ConfigurationError(f"method {entry['method_id']!r}: unknown key(s) {unknown}")
+        params = json_object(entry.get("params", {}), f"method {entry['method_id']!r} params")
+        weights = entry.get("weights")
+        if weights is not None and not isinstance(weights, list):
+            raise ConfigurationError(f"method {entry['method_id']!r}: weights must be a list, got {weights!r}")
 
         def solver(solver_id):
             if solver_id not in solvers:
@@ -59,38 +92,17 @@ class MethodConfig:
             method_id=entry["method_id"],
             n=entry.get("n", 1),
             rounds=entry.get("rounds", 1),
-            weights=tuple(entry["weights"]) if entry.get("weights") else None,
+            weights=tuple(weights) if weights else None,
             params=params,
             extra_solvers=tuple(solver(s) for s in params.get("extra_solver_ids", [])),
             verifier_solver=None if verifier_id is None else solver(verifier_id),
         )
 
 
-@dataclass(frozen=True)
-class Principles:
-    """Rules distilled from worked examples, used to steer a solver."""
+def run_method(config: MethodConfig, solver, task: Task, *, seed: int) -> tuple[m.MethodResult, Verdict]:
+    """Run one cell: the method samples, checking each sample with ``verify``
+    when the task has a check, and the verdict of its pick comes back with it."""
+    from ..core.verify import verify  # looked up per call, so a wrapper set on that module is the one called
 
-    items: tuple[str, ...]
-    source_examples: tuple[tuple[str, str], ...] = ()
-
-    def __post_init__(self):
-        if self.source_examples and not self.items:
-            raise ConfigurationError("principles derived from examples must be non-empty")
-
-    def render(self) -> str:
-        return "\n".join(f"- {item}" for item in self.items)
-
-
-@dataclass(frozen=True)
-class ConsensusReport:
-    """Agreement of a candidate pool with its modal answer."""
-
-    modal_answer: AnswerValue
-    c: Fraction
-    diversity: Fraction
-
-    def __post_init__(self):
-        if not 0 <= self.c <= 1:
-            raise ValueError(f"consensus {self.c} outside [0,1]")
-        if self.diversity != 1 - self.c:
-            raise ValueError("diversity must equal 1 - c exactly")
+    result = METHODS[config.method_id](config, solver, task, verify if task.check is not None else None, seed)
+    return result, verify(task, result.candidate)

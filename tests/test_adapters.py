@@ -10,6 +10,7 @@ from scipy import stats
 from quorum.adapters import (
     ChatAuthError,
     ChatClient,
+    ChatServerError,
     ChatSolver,
     ScriptedSolver,
     SolverError,
@@ -105,25 +106,31 @@ class TestScriptedSolver:
         assert rot13.solve("t", "uryyb", 0) == "hello"
 
 
-class _MockChat(BaseHTTPRequestHandler):
-    """Minimal chat-completions endpoint with a scriptable status queue."""
+# 200 replies whose body is not a chat completion
+MALFORMED_200 = {"not-json": b"<html>busy</html>", "no-content": json.dumps({"choices": []}).encode()}
 
-    statuses: list[int] = []
+
+class _MockChat(BaseHTTPRequestHandler):
+    """Minimal chat-completions endpoint with a scriptable status queue
+    (an HTTP status, or a key of MALFORMED_200)."""
+
+    statuses: list = []
     requests_seen: list[dict] = []
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         type(self).requests_seen.append(body)
         status = type(self).statuses.pop(0) if type(self).statuses else 200
-        if status != 200:
+        if status in MALFORMED_200:
+            status, blob = 200, MALFORMED_200[status]
+        elif status != 200:
             self.send_response(status)
             self.end_headers()
             self.wfile.write(b"nope")
             return
-        payload = {
-            "choices": [{"message": {"role": "assistant", "content": f"echo: {body['messages'][0]['content']}"}}]
-        }
-        blob = json.dumps(payload).encode()
+        else:
+            blob = json.dumps({"choices": [{"message": {
+                "role": "assistant", "content": f"echo: {body['messages'][0]['content']}"}}]}).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(blob)))
@@ -206,6 +213,28 @@ class TestChatClient:
         with pytest.raises(ChatAuthError):
             client.complete("hi", seed=0)
         assert len(handler.requests_seen) == 1
+
+    def test_malformed_200_is_retried_and_never_cached(self, mock_server, tmp_path):
+        base_url, handler = mock_server
+        handler.statuses = ["not-json", "no-content"]
+        client = _client(base_url, tmp_path)
+        assert client.complete("hi", seed=0) == "echo: hi"
+        assert [t.get("status") for t in client.last_trace] == [200, 200, 200]
+        [entry] = (tmp_path / "cache").glob("*.json")
+        assert json.loads(entry.read_text())["response"]["choices"][0]["message"]["content"] == "echo: hi"
+
+    @pytest.mark.parametrize("body", sorted(MALFORMED_200))
+    def test_malformed_200_on_every_attempt_is_a_solver_error(self, mock_server, tmp_path, body):
+        base_url, handler = mock_server
+        handler.statuses = [body, body]
+        client = _client(base_url, tmp_path, max_retries=1)
+        with pytest.raises(ChatServerError, match="HTTP 200 without a chat completion"):
+            client.complete("hi", seed=0)
+        assert len(handler.requests_seen) == 2
+        assert list((tmp_path / "cache").glob("*.json")) == []
+        handler.statuses = [body, body]
+        with pytest.raises(SolverError):
+            ChatSolver("remote", client).solve("t", "hi", 0)
 
     def test_chat_solver_maps_errors(self, tmp_path):
         client = _client("http://127.0.0.1:1", tmp_path, max_retries=0)

@@ -189,6 +189,49 @@ class TestEval:
         assert main(["eval", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "r")]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda config, tasks: config.update(solvers=[]),
+            lambda config, tasks: config.update(methods=[]),
+            lambda config, tasks: config["solvers"].append(dict(config["solvers"][0])),
+            lambda config, tasks: tasks.append(dict(tasks[0])),
+            lambda config, tasks: config["methods"][0].update(method_id="mixture_of_agents", weights=5),
+            lambda config, tasks: config["solvers"][0].update(params=[]),
+            lambda config, tasks: config["methods"][0].update(params=[]),
+            lambda config, tasks: config["methods"][0].update(N=8),
+            lambda config, tasks: config["solvers"][0]["params"].update(table={"*": [["A", "x"]]}),
+            lambda config, tasks: config["solvers"][0]["params"].update(table={"*": [["A"]]}),
+            lambda config, tasks: config["solvers"][0]["params"].update(two_stage={"*": [["think", 1.0]]}),
+            lambda config, tasks: tasks.__setitem__(0, 1),
+            lambda config, tasks: tasks[0].update(verifier={"kind": "game_answer", "params": []}),
+            lambda config, tasks: config.update(seed="x"),
+            lambda config, tasks: config["methods"][0].update(method_id="prover_verifier"),
+        ],
+        ids=["no-solvers", "no-methods", "duplicate-solver-id", "duplicate-task-id", "weights-as-number",
+             "solver-params-as-list", "method-params-as-list", "unknown-method-key", "probability-as-text",
+             "table-entry-without-probability", "two-stage-entry-without-table", "task-not-an-object",
+             "verifier-params-as-list", "seed-as-text", "prover-verifier-without-judge"],
+    )
+    def test_config_shape_mistakes_are_exit_2_before_any_cell(self, tmp_path, capsys, monkeypatch, edit):
+        import quorum.cli
+
+        cells = []
+        run_method = quorum.cli.run_method
+        monkeypatch.setattr(quorum.cli, "run_method", lambda *a, **kw: cells.append(a) or run_method(*a, **kw))
+        tasks = [{"id": "t1", "category": "demo", "prompt": "first?", "answer_kind": "choice", "reference": "A"}]
+        config = {
+            "solvers": [{"id": "s", "kind": "scripted", "params": {"table": {"*": [["A", 1.0]]}}}],
+            "methods": [{"method_id": "zero_shot"}],
+            "tasks": str(tmp_path / "tasks.json"),
+        }
+        edit(config, tasks)
+        (tmp_path / "tasks.json").write_text(json.dumps(tasks))
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        assert main(["eval", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "r")]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert cells == [] and not (tmp_path / "r").exists()
+
     def test_repeated_method_id_gets_distinct_columns(self, tmp_path, capsys):
         tasks = [{"id": "t", "category": "", "prompt": "?", "answer_kind": "choice", "reference": "A"}]
         (tmp_path / "tasks.json").write_text(json.dumps(tasks))
@@ -464,6 +507,58 @@ class TestGraphCli:
             message = "configuration error: no solver 'synthesizer'"
         assert main(["graph", "run", "--graph", str(graph), *argv]) == 2
         assert message in capsys.readouterr().err
+
+    def _method_graph(self, tmp_path, **nodes):
+        from quorum.graph import PipelineGraph
+
+        path = tmp_path / "methods.json"
+        PipelineGraph.from_json({
+            "nodes": {name: {"op": "run_method", "params": params} for name, params in nodes.items()},
+            "edges": [],
+            "inputs": {"task": [[name, "task"] for name in nodes]},
+            "outputs": {f"{name}_{port}": [name, port] for name in nodes for port in ("answer", "passed")},
+        }).save(path)
+        return path
+
+    def test_run_method_node_params_are_a_method_entry(self, tmp_path, capsys):
+        config = tmp_path / "solvers.json"
+        config.write_text(json.dumps({"solvers": [
+            {"id": "s", "kind": "scripted", "params": {"table": {"*": [["A", 1.0]]}}},
+            {"id": "b", "kind": "scripted", "params": {"table": {"*": [["B", 1.0]]}}},
+            {"id": "judge", "kind": "scripted", "params": {"table": {"*": [["1", 1.0]]}}},
+        ]}))
+        graph = self._method_graph(
+            tmp_path,
+            moa={"method_id": "mixture_of_agents", "solver_id": "s", "weights": [0.25, 0.75],
+                 "params": {"extra_solver_ids": ["b"]}},
+            pv={"method_id": "prover_verifier", "solver_id": "s", "rounds": 2,
+                "params": {"verifier_solver_id": "judge"}},
+        )
+        task = {"id": "q", "prompt": "?", "answer_kind": "choice", "reference": "A"}
+        assert main(["graph", "run", "--graph", str(graph), "--inputs", json.dumps({"task": task}),
+                     "--config", str(config)]) == 0
+        outputs = json.loads(capsys.readouterr().out)["outputs"]
+        assert outputs == {"moa_answer": "B", "moa_passed": False, "pv_answer": "A", "pv_passed": True}
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"method_id": "rto", "solver_id": "s", "method_params": {"forward_prompt": "{input}"}},
+            {"method_id": "best_of_n", "solver_id": "s", "use_verifier": False},
+            {"method_id": "mixture_of_agents", "solver_id": "s", "extra_solver_ids": ["s"]},
+            {"solver_id": "s"},
+            {"method_id": "best_of_n"},
+        ],
+        ids=["method-params", "use-verifier", "node-level-extra-solvers", "no-method-id", "no-solver-id"],
+    )
+    def test_run_method_node_with_other_params_is_exit_2(self, tmp_path, capsys, params):
+        config = tmp_path / "solvers.json"
+        config.write_text(json.dumps({"solvers": [
+            {"id": "s", "kind": "scripted", "params": {"table": {"*": [["A", 1.0]]}}}]}))
+        task = {"id": "q", "prompt": "?", "answer_kind": "choice", "reference": "A"}
+        assert main(["graph", "run", "--graph", str(self._method_graph(tmp_path, m=params)),
+                     "--inputs", json.dumps({"task": task}), "--config", str(config)]) == 2
+        assert "configuration error" in capsys.readouterr().err
 
     def test_bad_graph_file_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

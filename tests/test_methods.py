@@ -429,3 +429,62 @@ class TestConsensus:
     def test_needs_candidates(self):
         with pytest.raises(ValueError):
             consensus([])
+
+
+class TestRunMethod:
+    SOLVERS = {
+        "s": ScriptedSolver("s", {"*": [("yes", 0.4), ("no", 0.4), ("!error", 0.2)]}, rng_seed=3,
+                            two_stage={"*": [("think", 0.5, [("yes", 0.5), ("no", 0.5)]),
+                                             ("guess", 0.5, [("no", 1.0)])]}),
+        "b": ScriptedSolver("b", {"*": [("yes", 0.5), ("no", 0.5)]}, rng_seed=4),
+        "judge": ScriptedSolver("judge", {"*": [("1", 0.5), ("0", 0.5)]}),
+    }
+    ENTRIES = {
+        "zero_shot": {},
+        "best_of_n": {"n": 3},
+        "self_consistency": {"n": 3},
+        "mixture_of_agents": {"params": {"extra_solver_ids": ["b"]}},
+        "mcts": {"n": 4},
+        "rto": {"n": 2},
+        "prover_verifier": {"rounds": 2, "params": {"verifier_solver_id": "judge"}},
+        "plan_search": {"n": 2},
+        "leap": {"params": {"examples": [["1+1", "2"]]}},
+    }
+
+    def test_every_method_has_an_entry_here(self):
+        from quorum.methods import METHODS
+
+        assert set(self.ENTRIES) == set(METHODS)
+
+    @pytest.mark.parametrize("method_id", sorted(ENTRIES))
+    def test_returns_the_verdict_of_its_pick(self, method_id):
+        from quorum.methods import run_method
+
+        config = MethodConfig.from_dict({"method_id": method_id, **self.ENTRIES[method_id]}, self.SOLVERS)
+        verdicts = set()
+        for seed in range(8):
+            for task in (YES_TASK, _task(kind="text")):  # checked by its reference, and unverifiable
+                result, verdict = run_method(config, self.SOLVERS["s"], task, seed=seed)
+                assert verdict == verify(task, result.candidate)
+                verdicts.add(verdict.status)
+        assert {"pass", "error"} <= verdicts
+
+    def test_samples_are_checked_only_when_the_task_has_a_check(self):
+        from quorum.methods import run_method
+
+        config = MethodConfig.from_dict({"method_id": "best_of_n", "n": 3}, self.SOLVERS)
+        for task, checked in ((YES_TASK, True), (_task(kind="text"), False)):
+            result, _ = run_method(config, self.SOLVERS["b"], task, seed=1)
+            assert all(("verdict" in s) == checked for s in result.trace.samples)
+
+    def test_looks_verify_up_on_its_module_when_called(self, monkeypatch):
+        import importlib
+
+        from quorum.methods import run_method
+
+        module = importlib.import_module("quorum.core.verify")
+        calls = []
+        monkeypatch.setattr(module, "verify", lambda task, cand: calls.append(cand) or verify(task, cand))
+        config = MethodConfig.from_dict({"method_id": "best_of_n", "n": 3}, self.SOLVERS)
+        run_method(config, self.SOLVERS["b"], YES_TASK, seed=0)
+        assert len(calls) == 4  # three samples, then the pick
