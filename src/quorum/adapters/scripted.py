@@ -82,6 +82,8 @@ class ScriptedSolver:
             raise ConfigurationError("solver id must be non-empty")
         self.id = id
         self.table = {k: _as_table(v, f"task {k!r}") for k, v in json_object(table, f"{id} table").items()}
+        if isinstance(rng_seed, bool) or not isinstance(rng_seed, int):
+            raise ConfigurationError(f"{id} rng_seed must be an integer, got {rng_seed!r}")
         self.rng_seed = rng_seed
         self.prompt_triggers = {
             trig: {k: _as_table(v, f"trigger {trig!r} task {k!r}")

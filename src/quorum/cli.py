@@ -60,6 +60,8 @@ def _load_eval_config(path: str) -> dict:
     for key in ("solvers", "methods"):
         if not isinstance(config[key], list) or not config[key]:
             raise ConfigurationError(f"eval config {key!r} must be a non-empty list, got {config[key]!r}")
+    if not isinstance(config["tasks"], str):
+        raise ConfigurationError(f"eval config 'tasks' must be a file path, got {config['tasks']!r}")
     return config
 
 
@@ -78,7 +80,10 @@ def cmd_eval(args) -> int:
 
     task_path = Path(config["tasks"])
     with open(task_path) as fh:
-        tasks = [Task.from_dict(e) for e in json.load(fh)]
+        entries = json.load(fh)
+    if not isinstance(entries, list):
+        raise ConfigurationError(f"{task_path} must hold a JSON list of tasks, got {entries!r}")
+    tasks = [Task.from_dict(e) for e in entries]
     if not tasks:
         raise ConfigurationError(f"no tasks in {task_path}")
     repeated = [i for i, count in Counter(t.id for t in tasks).items() if count > 1]
@@ -256,7 +261,7 @@ def _graph_context(args) -> ExecutionContext:
     solvers = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            config = json.load(fh)
+            config = json_object(json.load(fh), "a graph config")
         solvers = resolve_solvers(config.get("solvers", []), cache_root=Path(config.get("out", "runs")) / "cache")
     return ExecutionContext(solvers=solvers, seed=args.seed or 0)
 

@@ -1,8 +1,10 @@
 """Run persistence.
 
 A run is a directory: ``config.json`` (the configuration snapshot) and
-``record.jsonl`` with one JSON object per (task, solver) cell.  Records
-are append-only; loading a run rebuilds the result matrix bit-exactly.
+``record.jsonl`` with one JSON object per (task, solver) cell.
+``record.jsonl`` is written whole, to ``record.jsonl.tmp`` and then
+renamed over it, so it never holds part of a run; loading a run
+rebuilds the result matrix bit-exactly.
 Field names in the files are part of the stable interface:
 
 cell object keys: ``task_id``, ``solver_id``, ``ts_ms``, ``candidate``,

@@ -17,9 +17,9 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from ..adapters.base import SolverError, sample, supports_two_stage
-from ..core.answers import AnswerValue
+from ..core.answers import AnswerValue, normalize_answer
 from ..core.model import Candidate, Task, Verdict
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, MalformedAnswerError
 from ..seeds import derive_seed
 
 VerifierFn = Callable[[Task, Candidate], Verdict]
@@ -134,6 +134,27 @@ def _select_first_verified(samples, verdicts, trace, solver_id, method_id, seed)
     return _select_modal(samples, trace, solver_id, method_id, seed)
 
 
+def _draw_and_select(solver, verifier, task, n, seed, trace, plan=None) -> MethodResult:
+    """Draw slots 0..n-1, check each with ``verifier`` when there is one,
+    record each in ``trace``, and pick the first verified, else the modal
+    answer.  ``plan(i)``, when given, returns the plan slot i is solved
+    under (an empty plan leaves the task prompt as it is)."""
+    samples, verdicts = [], []
+    for i in range(n):
+        plan_text = plan(i) if plan is not None else ""
+        prompt = f"{task.prompt}\n\nPlan:\n{plan_text}" if plan_text else None
+        cand = sample(solver, task, derive_seed(seed, i), method_id=trace.method_id, prompt=prompt,
+                      rationale=plan_text or None)
+        verdict = verifier(task, cand) if verifier is not None else None
+        if plan is None:
+            trace.record(i, cand, verdict)
+        else:
+            trace.record(i, cand, verdict, plan=plan_text)
+        samples.append(cand)
+        verdicts.append(verdict)
+    return MethodResult(_select_first_verified(samples, verdicts, trace, solver.id, trace.method_id, seed), trace)
+
+
 # -- the methods -----------------------------------------------------------
 
 
@@ -164,27 +185,14 @@ def best_of_n(
     trace = MethodTrace("best_of_n")
     if verifier is None:
         trace.notes.append("no verifier: selecting by modal answer only")
-    samples, verdicts = [], []
-    for i in range(n):
-        cand = sample(solver, task, derive_seed(seed, i), method_id="best_of_n")
-        verdict = verifier(task, cand) if verifier is not None else None
-        trace.record(i, cand, verdict)
-        samples.append(cand)
-        verdicts.append(verdict)
-    return MethodResult(_select_first_verified(samples, verdicts, trace, solver.id, "best_of_n", seed), trace)
+    return _draw_and_select(solver, verifier, task, n, seed, trace)
 
 
 def self_consistency(solver, task: Task, n: int, seed: int) -> MethodResult:
     """Majority vote over n independent samples."""
     if n < 1:
         raise ConfigurationError("n must be >= 1")
-    trace = MethodTrace("self_consistency")
-    samples = []
-    for i in range(n):
-        cand = sample(solver, task, derive_seed(seed, i), method_id="self_consistency")
-        trace.record(i, cand)
-        samples.append(cand)
-    return MethodResult(_select_modal(samples, trace, solver.id, "self_consistency", seed), trace)
+    return _draw_and_select(solver, None, task, n, seed, MethodTrace("self_consistency"))
 
 
 def mixture_of_agents(
@@ -274,18 +282,13 @@ def mcts_resample(
     for pi, prefix in enumerate(prefixes):
         for j in range(per_prefix):
             slot_seed = derive_seed(seed, "completion", pi, j)
-            if prefix and hasattr(solver, "solve_completion"):
-                try:
-                    raw = solver.solve_completion(task.id, task.prompt, prefix, slot_seed)
-                    cand = sample(_FixedOutput(solver.id, raw), task, slot_seed,
-                                  method_id="mcts", rationale=prefix)
-                except SolverError as exc:
-                    cand = Candidate(answer=None, solver_id=solver.id, method_id="mcts",
-                                     seed=slot_seed, error=str(exc))
-            else:
-                prompt = f"{task.prompt}\n{prefix}" if prefix else None
-                cand = sample(solver, task, slot_seed, method_id="mcts", prompt=prompt, rationale=prefix or None)
-            completions[prefix].append(cand)
+
+            def complete():
+                return solver.solve_completion(task.id, task.prompt, prefix, slot_seed), prefix
+
+            # the empty prefix (no two-stage draw) is a plain sample
+            completions[prefix].append(sample(solver, task, slot_seed, method_id="mcts",
+                                              call=complete if prefix else None))
 
     rewards: dict[str, list[float]] = {}
     if verifier is not None:
@@ -336,19 +339,6 @@ def mcts_resample(
     return MethodResult(_aggregate_candidate(winner.answer, all_samples, solver.id, "mcts", seed), trace)
 
 
-class _FixedOutput:
-    """Wrap precomputed text so ``sample`` can normalize and time it."""
-
-    deterministic_timing = True
-
-    def __init__(self, id: str, text: str):
-        self.id = id
-        self.text = text
-
-    def solve(self, task_id: str, prompt: str, seed: int) -> str:
-        return self.text
-
-
 def round_trip(
     solver,
     forward_prompt: str,
@@ -356,35 +346,34 @@ def round_trip(
     task: Task,
     seed: int,
     n: int = 1,
-    equivalent: Optional[Callable[[str, str], bool]] = None,
-    judge=None,
 ) -> MethodResult:
     """Accept a candidate only if the reverse action restores the input.
 
     ``forward_prompt`` must contain ``{input}``; ``backward_prompt`` must
-    contain ``{output}``.  Equivalence defaults to normalized-text
-    equality; pass ``judge`` (a solver answering yes/no) for a model
-    judgment instead.
+    contain ``{output}``.  The input counts as restored when the backward
+    output equals the task prompt as normalized text.
     """
     if "{input}" not in forward_prompt or "{output}" not in backward_prompt:
         raise ConfigurationError("forward prompt needs {input} and backward prompt needs {output}")
     trace = MethodTrace("rto")
-    check = equivalent or (_judge_equivalence(judge, task, seed) if judge else _text_equal)
-    last = None
+    attempts, last = [], None
     for i in range(max(1, n)):
         fwd_seed = derive_seed(seed, "forward", i)
         bwd_seed = derive_seed(seed, "backward", i)
-        try:
-            forward_out = solver.solve(task.id, forward_prompt.format(input=task.prompt), fwd_seed)
-            backward_out = solver.solve(task.id, backward_prompt.format(output=forward_out), bwd_seed)
-        except SolverError as exc:
-            trace.record(i, Candidate(answer=None, solver_id=solver.id, method_id="rto",
-                                      seed=fwd_seed, error=str(exc)))
+        trip = {}
+
+        def forward_then_backward():
+            forward = solver.solve(task.id, forward_prompt.format(input=task.prompt), fwd_seed)
+            trip["backward"] = solver.solve(task.id, backward_prompt.format(output=forward), bwd_seed)
+            return forward, f"round trip returned {trip['backward']!r}"
+
+        cand = sample(solver, task, fwd_seed, method_id="rto", call=forward_then_backward)
+        attempts.append(cand)
+        if "backward" not in trip:  # a solver call failed
+            trace.record(i, cand)
             continue
-        cand = sample(_FixedOutput(solver.id, forward_out), task, fwd_seed,
-                      method_id="rto", rationale=f"round trip returned {backward_out!r}")
-        accepted = cand.answer is not None and check(task.prompt, backward_out)
-        trace.record(i, cand, accepted=accepted, backward=backward_out)
+        accepted = cand.answer is not None and _restores(task.prompt, trip["backward"])
+        trace.record(i, cand, accepted=accepted, backward=trip["backward"])
         last = cand
         if accepted:
             trace.extras["accepted_attempt"] = i
@@ -392,27 +381,17 @@ def round_trip(
     trace.notes.append("round_trip_failed")
     trace.extras["round_trip_failed"] = True
     if last is None:
-        last = Candidate(answer=None, solver_id=solver.id, method_id="rto",
-                         seed=seed, error="round trip produced no candidate")
+        last = _aggregate_candidate(None, attempts, solver.id, "rto", seed, error="round trip produced no candidate")
     return MethodResult(last, trace)
 
 
-def _text_equal(a: str, b: str) -> bool:
-    from ..core.answers import normalize_answer
-
-    return normalize_answer(a, "text") == normalize_answer(b, "text")
-
-
-def _judge_equivalence(judge, task: Task, seed: int):
-    def check(a: str, b: str) -> bool:
-        prompt = f"Are these equivalent? Reply yes or no.\nfirst: {a}\nsecond: {b}"
-        try:
-            reply = judge.solve(task.id, prompt, derive_seed(seed, "judge"))
-        except SolverError:
-            return False
-        return _parse_decision(reply)
-
-    return check
+def _restores(original: str, backward: str) -> bool:
+    """Whether ``backward`` equals ``original`` as normalized text; a
+    blank backward output restores nothing."""
+    try:
+        return normalize_answer(original, "text") == normalize_answer(backward, "text")
+    except MalformedAnswerError:
+        return False
 
 
 def _parse_decision(text: str) -> bool:
@@ -437,9 +416,10 @@ def prover_verifier(
         raise ConfigurationError("rounds must be >= 1")
     trace = MethodTrace("prover_verifier")
     transcript: list[dict] = []
-    last = None
+    attempts = []
     for i in range(rounds):
         attempt = sample(prover, task, derive_seed(seed, "attempt", i), method_id="prover_verifier")
+        attempts.append(attempt)
         shown = attempt.answer.canonical_text() if attempt.answer else f"<error: {attempt.error}>"
         transcript.append({"round": i, "message": shown})
         decision_prompt = "Decide whether the latest attempt is correct. Reply 1 or 0.\n" + "\n".join(
@@ -454,16 +434,16 @@ def prover_verifier(
             trace.notes.append(f"verifier model error on round {i}: {exc}")
         transcript[-1]["decision"] = int(decision)
         trace.record(i, attempt, decision=int(decision))
-        last = attempt
         if decision and attempt.answer is not None:
             trace.extras["transcript"] = transcript
             trace.extras["accepted_round"] = i
             return MethodResult(attempt, trace)
     trace.extras["transcript"] = transcript
     trace.notes.append("no attempt accepted")
-    if last is None or last.answer is None:
-        last = Candidate(answer=None, solver_id=prover.id, method_id="prover_verifier",
-                         seed=seed, error="no attempt produced an answer")
+    last = attempts[-1]
+    if last.answer is None:
+        last = _aggregate_candidate(None, attempts, prover.id, "prover_verifier", seed,
+                                    error="no attempt produced an answer")
     return MethodResult(last, trace)
 
 
@@ -478,37 +458,15 @@ def plan_search(
     if n_plans < 1:
         raise ConfigurationError("n_plans must be >= 1")
     trace = MethodTrace("plan_search")
-    samples, verdicts = [], []
-    for i in range(n_plans):
+
+    def plan(i: int) -> str:
         try:
-            plan = solver.solve(task.id, f"Draft a short solution plan.\n{task.prompt}",
-                                derive_seed(seed, "plan", i))
+            return solver.solve(task.id, f"Draft a short solution plan.\n{task.prompt}", derive_seed(seed, "plan", i))
         except SolverError as exc:
             trace.notes.append(f"plan draw {i} failed: {exc}")
-            plan = ""
-        prompt = f"{task.prompt}\n\nPlan:\n{plan}" if plan else None
-        cand = sample(solver, task, derive_seed(seed, i), method_id="plan_search",
-                      prompt=prompt, rationale=plan or None)
-        verdict = verifier(task, cand) if verifier is not None else None
-        trace.record(i, cand, verdict, plan=plan)
-        samples.append(cand)
-        verdicts.append(verdict)
-    return MethodResult(_select_first_verified(samples, verdicts, trace, solver.id, "plan_search", seed), trace)
+            return ""
 
-
-@dataclass(frozen=True)
-class Principles:
-    """Rules distilled from worked examples, used to steer a solver."""
-
-    items: tuple[str, ...]
-    source_examples: tuple[tuple[str, str], ...] = ()
-
-    def __post_init__(self):
-        if self.source_examples and not self.items:
-            raise ConfigurationError("principles derived from examples must be non-empty")
-
-    def render(self) -> str:
-        return "\n".join(f"- {item}" for item in self.items)
+    return _draw_and_select(solver, verifier, task, n_plans, seed, trace, plan=plan)
 
 
 PRINCIPLE_PROMPT = (
@@ -530,7 +488,7 @@ def leap(
     method degrades to a plain zero-shot sample with a recorded warning.
     """
     trace = MethodTrace("leap")
-    principles = None
+    prompt = None
     if examples:
         rendered = "\n".join(
             f"example {i} input: {x}\nexample {i} answer: {y}" for i, (x, y) in enumerate(examples, 1)
@@ -541,17 +499,17 @@ def leap(
         except SolverError as exc:
             trace.notes.append(f"principle extraction failed: {exc}")
             raw = ""
-        items = tuple(line.strip(" -*0123456789.").strip() for line in raw.splitlines())
-        items = tuple(item for item in items if item)
+        items = [line.strip(" -*0123456789.").strip() for line in raw.splitlines()]
+        items = [item for item in items if item]
         if items:
-            principles = Principles(items, tuple((x, y) for x, y in examples))
-            trace.extras["principles"] = list(items)
+            trace.extras["principles"] = items
+            principles = "\n".join(f"- {item}" for item in items)
+            prompt = f"Principles:\n{principles}\n\n{task.prompt}"
         else:
             trace.notes.append("empty principle extraction: falling back to zero-shot")
     else:
         trace.notes.append("no examples given: falling back to zero-shot")
 
-    prompt = f"Principles:\n{principles.render()}\n\n{task.prompt}" if principles else None
     cand = sample(solver, task, derive_seed(seed, 0), method_id="leap", prompt=prompt)
     trace.record(0, cand)
     return MethodResult(cand, trace)

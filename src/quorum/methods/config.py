@@ -7,6 +7,7 @@ pairs, and ``extra_solver_ids`` / ``verifier_solver_id`` name solvers."""
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional
 
@@ -58,6 +59,20 @@ class MethodConfig:
                 raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
         if self.method_id == "prover_verifier" and self.verifier_solver is None:
             raise ConfigurationError("prover_verifier needs a 'verifier_solver_id' param naming its judge")
+        if self.method_id == "rto":
+            for key, field_name in (("forward_prompt", "input"), ("backward_prompt", "output")):
+                prompt = self.params.get(key, f"{{{field_name}}}")
+                if _template_fields(prompt) != {field_name}:
+                    raise ConfigurationError(f"rto {key} must be a string whose one field is "
+                                             f"{{{field_name}}}, got {prompt!r}")
+        if self.method_id == "leap":
+            examples = self.params.get("examples", [])
+            if not isinstance(examples, list) or not all(
+                isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, str) for x in pair)
+                for pair in examples
+            ):
+                raise ConfigurationError(f"leap examples must be a list of [input, answer] string pairs, "
+                                         f"got {examples!r}")
         if self.weights is not None:
             if not all(isinstance(w, (int, float)) and not isinstance(w, bool) and w >= 0 for w in self.weights):
                 raise ConfigurationError(f"weights must be non-negative numbers, got {list(self.weights)!r}")
@@ -97,6 +112,14 @@ class MethodConfig:
             extra_solvers=tuple(solver(s) for s in params.get("extra_solver_ids", [])),
             verifier_solver=None if verifier_id is None else solver(verifier_id),
         )
+
+
+def _template_fields(prompt) -> set:
+    """The field names of a ``str.format`` template (empty for anything else)."""
+    try:
+        return {name for _, name, _, _ in string.Formatter().parse(prompt) if name is not None}
+    except (TypeError, ValueError):
+        return set()
 
 
 def run_method(config: MethodConfig, solver, task: Task, *, seed: int) -> tuple[m.MethodResult, Verdict]:

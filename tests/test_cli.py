@@ -207,11 +207,23 @@ class TestEval:
             lambda config, tasks: tasks[0].update(verifier={"kind": "game_answer", "params": []}),
             lambda config, tasks: config.update(seed="x"),
             lambda config, tasks: config["methods"][0].update(method_id="prover_verifier"),
+            lambda config, tasks: 1,
+            lambda config, tasks: config.update(tasks=5),
+            lambda config, tasks: config["solvers"][0]["params"].update(rng_seed="x"),
+            lambda config, tasks: config["methods"][0].update(method_id="leap", params={"examples": 5}),
+            lambda config, tasks: config["methods"][0].update(method_id="leap", params={"examples": [["a"]]}),
+            lambda config, tasks: config["methods"][0].update(method_id="rto", params={"forward_prompt": 5}),
+            lambda config, tasks: config["methods"][0].update(method_id="rto", params={"forward_prompt": "Solve"}),
+            lambda config, tasks: config["methods"][0].update(
+                method_id="rto", params={"backward_prompt": "Restate {output} as {x}"}),
         ],
         ids=["no-solvers", "no-methods", "duplicate-solver-id", "duplicate-task-id", "weights-as-number",
              "solver-params-as-list", "method-params-as-list", "unknown-method-key", "probability-as-text",
              "table-entry-without-probability", "two-stage-entry-without-table", "task-not-an-object",
-             "verifier-params-as-list", "seed-as-text", "prover-verifier-without-judge"],
+             "verifier-params-as-list", "seed-as-text", "prover-verifier-without-judge", "tasks-file-not-a-list",
+             "tasks-path-as-number", "rng-seed-as-text", "leap-examples-as-number", "leap-example-not-a-pair",
+             "rto-forward-prompt-as-number", "rto-forward-prompt-without-input",
+             "rto-backward-prompt-with-another-field"],
     )
     def test_config_shape_mistakes_are_exit_2_before_any_cell(self, tmp_path, capsys, monkeypatch, edit):
         import quorum.cli
@@ -225,7 +237,7 @@ class TestEval:
             "methods": [{"method_id": "zero_shot"}],
             "tasks": str(tmp_path / "tasks.json"),
         }
-        edit(config, tasks)
+        tasks = edit(config, tasks) or tasks  # an edit may return the tasks file's whole content
         (tmp_path / "tasks.json").write_text(json.dumps(tasks))
         (tmp_path / "c.json").write_text(json.dumps(config))
         assert main(["eval", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "r")]) == 2
@@ -559,6 +571,17 @@ class TestGraphCli:
         assert main(["graph", "run", "--graph", str(self._method_graph(tmp_path, m=params)),
                      "--inputs", json.dumps({"task": task}), "--config", str(config)]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "abtest"])
+    def test_config_that_is_not_an_object_is_exit_2(self, tmp_path, capsys, command):
+        config = tmp_path / "solvers.json"
+        config.write_text(json.dumps([{"id": "s", "kind": "scripted", "params": {}}]))
+        (tmp_path / "tasks.json").write_text(json.dumps([{"id": "q", "prompt": "?", "answer_kind": "choice"}]))
+        graph = self._template_path(tmp_path)
+        argv = ["--graph", str(graph)] if command == "run" else ["--graphs", str(graph), "--tasks",
+                                                                 str(tmp_path / "tasks.json")]
+        assert main(["graph", command, *argv, "--config", str(config)]) == 2
+        assert "configuration error: a graph config must be a JSON object" in capsys.readouterr().err
 
     def test_bad_graph_file_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -6,6 +6,7 @@ small cases.
 """
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -231,6 +232,21 @@ class TestMctsResample:
         for entry in result.trace.extras["prefix_values"]:
             assert entry["value"] == pytest.approx(sum(entry["rewards"]) / entry["visits"])
 
+    def test_two_stage_needs_prefix_and_completion(self):
+        class PrefixOnly:
+            id = "half"
+            deterministic_timing = True
+
+            def solve(self, task_id, prompt, seed):
+                return "yes"
+
+            def solve_prefix(self, task_id, prompt, seed):
+                return "P1"
+
+        result = mcts_resample(PrefixOnly(), verify, YES_TASK, rollouts=4, seed=0)
+        assert "solver lacks two-stage sampling: rollouts are plain samples" in result.trace.notes
+        assert result.candidate.answer.payload == "yes"
+
     def test_no_verifier_uses_modal_agreement(self):
         solver = ScriptedSolver("s", {"*": [("yes", 0.5), ("no", 0.5)]}, two_stage=self.TWO_STAGE)
         result = mcts_resample(solver, None, YES_TASK, rollouts=9, seed=3)
@@ -281,6 +297,32 @@ class TestRoundTrip:
         result = round_trip(solver, "FWD:{input}", "BWD:{output}", task, seed=0, n=2)
         assert result.trace.extras.get("round_trip_failed")
         assert "round_trip_failed" in result.trace.notes
+
+    def test_elapsed_ms_covers_forward_and_backward_calls(self):
+        class SlowEcho:  # a real backend: no deterministic_timing, 30 ms a call
+            id = "slow"
+
+            def solve(self, task_id, prompt, seed):
+                time.sleep(0.03)
+                return prompt.removeprefix("FWD:").removeprefix("BWD:")
+
+        result = round_trip(SlowEcho(), "FWD:{input}", "BWD:{output}", _task(kind="text", prompt="text"), seed=0)
+        assert result.trace.extras.get("accepted_attempt") == 0
+        assert result.candidate.elapsed_ms >= 60
+
+    def test_blank_backward_output_restores_nothing(self):
+        solver = TransformSolver("blank", lambda p, rng: " " if p.startswith("BWD:") else p.removeprefix("FWD:"))
+        result = round_trip(solver, "FWD:{input}", "BWD:{output}", _task(kind="text", prompt="text"), seed=0)
+        assert result.trace.samples[0]["accepted"] is False
+        assert result.trace.extras.get("round_trip_failed")
+        assert result.candidate.answer.payload == "text"
+
+    def test_failed_solver_calls_leave_an_error_candidate(self):
+        solver = ScriptedSolver("s", {"*": [("!error:backend down", 1.0)]})
+        result = round_trip(solver, "FWD:{input}", "BWD:{output}", _task(kind="text", prompt="text"), seed=3, n=2)
+        assert [s["error"] for s in result.trace.samples] == ["backend down", "backend down"]
+        assert result.candidate.error == "round trip produced no candidate"
+        assert result.candidate.seed == 3 and result.candidate.method_id == "rto"
 
 
 class TestProverVerifier:

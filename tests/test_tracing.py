@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from quorum.methods import METHODS
+
 ROOT = Path(__file__).resolve().parents[1]
 
 ROT180_TASK = {
@@ -38,9 +40,11 @@ from quorum.cli import main
 config, out, result = sys.argv[1:]
 tracer = tracing.install()
 code = main(["eval", "--config", config, "--parallel", "2", "--out", out])
-cells = int((tracer.table()[:, 1] == tracer.codes["cell"]).sum())
+names = tracer.table()[:, 1].tolist()
+spans = {name: names.count(number) for name, number in tracer.codes.items()}
 with open(result, "w") as fh:
-    json.dump({"code": code, "cells": cells, "metrics": tracing.layer_metrics(tracer, 1)}, fh)
+    json.dump({"code": code, "cells": spans["cell"], "spans": spans,
+               "metrics": tracing.layer_metrics(tracer, 1)}, fh)
 """
 
 
@@ -48,9 +52,15 @@ def test_benchmark_tracer_sees_every_eval_layer(tmp_path):
     (tmp_path / "tasks.json").write_text(json.dumps(TASKS))
     table = {"r": [["A", 0.5], ["B", 0.5]], "p": [["rotate180", 0.5], ["identity", 0.5]],
              "g": [["3", 0.5], ["4", 0.5]]}
+    two_stage = {"*": [["think", 0.5, [["A", 0.5], ["3", 0.5]]], ["guess", 0.5, [["rotate180", 1.0]]]]}
     config = {
-        "solvers": [{"id": "s", "kind": "scripted", "params": {"table": table}}],
-        "methods": [{"method_id": "best_of_n", "n": 2}, {"method_id": "zero_shot"}],
+        "solvers": [{"id": "s", "kind": "scripted", "params": {"table": table, "two_stage": two_stage}}],
+        "methods": [
+            {"method_id": "best_of_n", "n": 2}, {"method_id": "zero_shot"}, {"method_id": "self_consistency", "n": 3},
+            {"method_id": "mixture_of_agents"}, {"method_id": "mcts", "n": 4}, {"method_id": "rto", "n": 2},
+            {"method_id": "prover_verifier", "rounds": 2, "params": {"verifier_solver_id": "s"}},
+            {"method_id": "plan_search", "n": 2}, {"method_id": "leap", "params": {"examples": [["1+1", "2"]]}},
+        ],
         "tasks": str(tmp_path / "tasks.json"),
     }
     (tmp_path / "config.json").write_text(json.dumps(config))
@@ -66,6 +76,11 @@ def test_benchmark_tracer_sees_every_eval_layer(tmp_path):
     traced = json.loads(result.read_text())
     assert traced["code"] == 0
     assert traced["cells"] == len(TASKS) * len(config["methods"])
+    # One span per cell of each method: a method that called another wrapped
+    # public combinator would count twice.
+    assert {m["method_id"] for m in config["methods"]} == set(METHODS)
+    for method_id in METHODS:
+        assert traced["spans"][f"methods.{method_id}"] == len(TASKS), method_id
     metrics = traced["metrics"]
     for layer in ("core.verify.reference", "core.verify.arc_program", "core.verify.game_answer",
                   "adapters.sample", "seeds.derive_seed"):
