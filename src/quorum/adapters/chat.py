@@ -18,8 +18,6 @@ import time
 from pathlib import Path
 from typing import Optional
 
-import requests
-
 from ..errors import ConfigurationError, QuorumError
 from .base import SolverError
 
@@ -55,6 +53,16 @@ def _error_for_status(status: int, body: str) -> ChatError:
     return ChatRequestError(f"HTTP {status}: {snippet}")
 
 
+def _retry_after_s(value: Optional[str], cap: float) -> float:
+    """The seconds a ``Retry-After`` header asks for, at most ``cap``; 0
+    when it is absent or not a number of seconds (an HTTP date is ignored)."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        return 0.0
+    return min(seconds, cap) if seconds >= 0 else 0.0
+
+
 class ChatClient:
     def __init__(
         self,
@@ -81,6 +89,8 @@ class ChatClient:
         self.backoff_s = backoff_s
         self._gate = threading.BoundedSemaphore(max_in_flight)
         self._local = threading.local()
+        import requests  # loaded when a client is built: scripted runs never need it
+
         self._session = requests.Session()
 
     # -- cache ---------------------------------------------------------
@@ -146,11 +156,14 @@ class ChatClient:
         if self.api_key_env is not None:
             headers["Authorization"] = f"Bearer {os.environ[self.api_key_env]}"
 
+        import requests
+
         url = f"{self.base_url}/chat/completions"
         last_error: Optional[ChatError] = None
         for attempt in range(self.max_retries + 1):
             if attempt:
-                time.sleep(self.backoff_s * 2 ** (attempt - 1))
+                time.sleep(max(self.backoff_s * 2 ** (attempt - 1), retry_after))
+            retry_after = 0.0  # set from this attempt's 429 or 503, read before the next
             try:
                 with self._gate:
                     resp = self._session.post(url, json=body, headers=headers, timeout=self.timeout_s)
@@ -171,6 +184,8 @@ class ChatClient:
                 last_error = ChatServerError(f"HTTP 200 without a chat completion: {resp.text[:200]}")
             else:
                 last_error = _error_for_status(resp.status_code, resp.text)
+                if resp.status_code in (429, 503):
+                    retry_after = _retry_after_s(resp.headers.get("Retry-After"), self.timeout_s)
             trace.append({"attempt": attempt, "source": "network", "status": resp.status_code})
             if isinstance(last_error, (ChatAuthError, ChatRequestError)):
                 raise last_error  # retrying cannot fix these

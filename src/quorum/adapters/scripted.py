@@ -7,13 +7,14 @@ bit-reproducible functions of (rng_seed, task_id, seed).
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from ..errors import ConfigurationError, json_object
 from ..seeds import rng_for, uniform_for
 from .base import SolverError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_KEY = "*"
 PROB_TOL = 1e-9

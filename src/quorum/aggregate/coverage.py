@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .matrix import ResultMatrix
 
 ORDERINGS = ("individual_desc", "greedy_marginal")
@@ -37,6 +35,8 @@ def coverage_curve(matrix: ResultMatrix, ordering: str = "individual_desc") -> C
     """
     if ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering {ordering!r}; expected one of {ORDERINGS}")
+    import numpy as np
+
     solved = matrix.solved
     n = matrix.n_tasks
 

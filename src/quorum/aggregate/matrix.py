@@ -8,10 +8,12 @@ reporting but never affect aggregation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -28,6 +30,8 @@ class ResultMatrix:
         solved,
         elapsed_ms=None,
     ):
+        import numpy as np  # loaded with the first matrix, not with the package
+
         self.task_ids = list(task_ids)
         self.solver_ids = list(solver_ids)
         self.solved = np.asarray(solved, dtype=bool)
@@ -70,6 +74,8 @@ class ResultMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ResultMatrix):
             return NotImplemented
+        import numpy as np
+
         if self.task_ids != other.task_ids or self.solver_ids != other.solver_ids:
             return False
         if not np.array_equal(self.solved, other.solved):
@@ -89,7 +95,7 @@ class ResultMatrix:
         }
         if self.elapsed_ms is not None:
             out["elapsed_ms"] = [
-                [None if np.isnan(v) else v for v in row] for row in self.elapsed_ms
+                [None if math.isnan(v) else v for v in row] for row in self.elapsed_ms
             ]
         return out
 

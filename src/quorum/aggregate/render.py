@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-import numpy as np
-
 from .matrix import ResultMatrix
 
 DEFAULT_MARKS = ("✓", "✗")
@@ -92,6 +90,6 @@ def parse_matrix(text: str, marks: tuple[str, str] = DEFAULT_MARKS) -> ResultMat
     return ResultMatrix(
         task_ids,
         solver_ids,
-        np.array(solved, dtype=bool),
+        solved,
         elapsed if any_elapsed else None,
     )

@@ -65,6 +65,20 @@ def _load_eval_config(path: str) -> dict:
     return config
 
 
+def _load_task_entries(path) -> list[dict]:
+    """The entries of a tasks file, else a ConfigurationError: the file
+    must hold a non-empty JSON list of objects."""
+    with open(path) as fh:
+        entries = json.load(fh)
+    if not isinstance(entries, list):
+        raise ConfigurationError(f"{path} must hold a JSON list of tasks, got {entries!r}")
+    if not entries:
+        raise ConfigurationError(f"no tasks in {path}")
+    for entry in entries:
+        json_object(entry, f"a task in {path}")
+    return entries
+
+
 def cmd_eval(args) -> int:
     config = _load_eval_config(args.config)
     seed = args.seed if args.seed is not None else config.get("seed", 0)
@@ -78,14 +92,8 @@ def cmd_eval(args) -> int:
     deterministic = all(not isinstance(s, ChatSolver) for s in solvers.values())
     method_configs = [MethodConfig.from_dict(entry, solvers) for entry in config["methods"]]
 
-    task_path = Path(config["tasks"])
-    with open(task_path) as fh:
-        entries = json.load(fh)
-    if not isinstance(entries, list):
-        raise ConfigurationError(f"{task_path} must hold a JSON list of tasks, got {entries!r}")
-    tasks = [Task.from_dict(e) for e in entries]
-    if not tasks:
-        raise ConfigurationError(f"no tasks in {task_path}")
+    task_path = config["tasks"]
+    tasks = [Task.from_dict(e) for e in _load_task_entries(task_path)]
     repeated = [i for i, count in Counter(t.id for t in tasks).items() if count > 1]
     if repeated:
         raise ConfigurationError(f"{task_path}: two tasks have the id {repeated[0]!r}")
@@ -269,7 +277,7 @@ def _graph_context(args) -> ExecutionContext:
 def cmd_graph(args) -> int:
     if args.graph_command == "run":
         graph = PipelineGraph.load(args.graph)
-        inputs = json.loads(args.inputs) if args.inputs else {}
+        inputs = json_object(json.loads(args.inputs), "graph --inputs") if args.inputs else {}
         if args.task:
             task = _load_single_task(args.task)
             inputs.setdefault("task", task)
@@ -291,10 +299,7 @@ def cmd_graph(args) -> int:
 
     if args.graph_command == "abtest":
         variants = [PipelineGraph.load(p) for p in args.graphs]
-        with open(args.tasks) as fh:
-            entries = json.load(fh)
-        tasks = [dict(e) for e in entries]
-        matrix = ab_test(variants, tasks, _graph_context(args))
+        matrix = ab_test(variants, _load_task_entries(args.tasks), _graph_context(args))
         table = render_matrix(matrix)
         print(table)
         if args.out:

@@ -88,7 +88,7 @@ def execute(
     ctx = ctx or ExecutionContext()
     missing = set(graph.inputs) - set(inputs)
     if missing:
-        raise ValueError(f"missing graph inputs: {sorted(missing)}")
+        raise ConfigurationError(f"missing graph inputs: {sorted(missing)}")
 
     port_values: dict[tuple, object] = {}
     for name, bindings in graph.inputs.items():

@@ -9,8 +9,10 @@ never perturbs the streams of its siblings.
 from __future__ import annotations
 
 import hashlib
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
@@ -27,6 +29,8 @@ def derive_seed(root: int, *labels: object) -> int:
 
 def rng_for(root: int, *labels: object) -> np.random.Generator:
     """A numpy Generator seeded from the derived stream id."""
+    import numpy as np  # loaded on first use: most commands never draw from a Generator
+
     return np.random.default_rng(derive_seed(root, *labels))
 
 

@@ -112,7 +112,8 @@ MALFORMED_200 = {"not-json": b"<html>busy</html>", "no-content": json.dumps({"ch
 
 class _MockChat(BaseHTTPRequestHandler):
     """Minimal chat-completions endpoint with a scriptable status queue
-    (an HTTP status, or a key of MALFORMED_200)."""
+    (an HTTP status, a (status, Retry-After value) pair, or a key of
+    MALFORMED_200)."""
 
     statuses: list = []
     requests_seen: list[dict] = []
@@ -121,10 +122,13 @@ class _MockChat(BaseHTTPRequestHandler):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         type(self).requests_seen.append(body)
         status = type(self).statuses.pop(0) if type(self).statuses else 200
+        status, retry_after = status if isinstance(status, tuple) else (status, None)
         if status in MALFORMED_200:
             status, blob = 200, MALFORMED_200[status]
         elif status != 200:
             self.send_response(status)
+            if retry_after is not None:
+                self.send_header("Retry-After", retry_after)
             self.end_headers()
             self.wfile.write(b"nope")
             return
@@ -205,6 +209,23 @@ class TestChatClient:
         assert client.complete("hi", seed=0) == "echo: hi"
         statuses = [t.get("status") for t in client.last_trace]
         assert statuses == [429, 200]  # exactly one retry recorded
+
+    @pytest.mark.parametrize("status,retry_after,wait", [
+        (429, "2", 2.0),
+        (503, "2", 2.0),
+        (429, "600", 5.0),  # capped at timeout_s
+        (503, "0.001", 0.01),  # the backoff is longer
+        (429, "Wed, 21 Oct 2026 07:28:00 GMT", 0.01),  # only seconds are understood
+        (500, "2", 0.01),  # honoured on 429 and 503 only
+    ], ids=["429", "503", "capped", "backoff-longer", "http-date", "500"])
+    def test_retry_waits_for_retry_after(self, mock_server, tmp_path, monkeypatch, status, retry_after, wait):
+        base_url, handler = mock_server
+        handler.statuses = [(status, retry_after)]
+        waits = []
+        monkeypatch.setattr("time.sleep", waits.append)
+        client = _client(base_url, tmp_path)
+        assert client.complete("hi", seed=0) == "echo: hi"
+        assert waits == [wait]
 
     def test_auth_error_not_retried(self, mock_server, tmp_path):
         base_url, handler = mock_server

@@ -583,6 +583,26 @@ class TestGraphCli:
         assert main(["graph", command, *argv, "--config", str(config)]) == 2
         assert "configuration error: a graph config must be a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("inputs,message", [
+        ("[1]", "graph --inputs must be a JSON object, got [1]"),
+        ("{}", "missing graph inputs: ['task']"),
+    ], ids=["inputs-not-an-object", "missing-input"])
+    def test_graph_inputs_mistake_is_exit_2(self, tmp_path, capsys, inputs, message):
+        from quorum.fixtures import graph_template
+
+        graph = tmp_path / "olympiad.json"
+        graph_template("olympiad_pipeline").save(graph)
+        assert main(["graph", "run", "--graph", str(graph), "--inputs", inputs]) == 2
+        assert f"configuration error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [1, [1]], ids=["not-a-list", "entry-not-an-object"])
+    def test_abtest_tasks_file_of_other_json_is_exit_2(self, tmp_path, capsys, content):
+        graph = self._template_path(tmp_path)
+        tasks = tmp_path / "tasks.json"
+        tasks.write_text(json.dumps(content))
+        assert main(["graph", "abtest", "--graphs", str(graph), str(graph), "--tasks", str(tasks)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_bad_graph_file_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

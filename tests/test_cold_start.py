@@ -1,0 +1,83 @@
+"""Cold start: numpy and requests load only when a command uses them.
+
+Each check runs in a fresh interpreter, since this one has imported both
+long ago.  A command that needs neither (puzzle verification, a graph
+without solvers) must not pay for them; a scripted sweep builds matrices
+with numpy but never needs an HTTP client.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Prints, as JSON, which of numpy and requests are loaded after importing
+# quorum.cli and after each command given as a JSON list of argv lists.
+PROBE = """
+import json, sys
+from quorum.cli import main
+
+def loaded():
+    return [name for name in ("numpy", "requests") if name in sys.modules]
+
+points = [["import", 0, loaded()]]
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    points.append([" ".join(argv[:2]), code, loaded()])
+print(json.dumps(points))
+"""
+
+
+def _probe(commands, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", PROBE, json.dumps(commands)], cwd=cwd,
+                            capture_output=True, text=True, env=env, check=True)
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def _rot180_task(size=30):
+    def grid(seed):
+        return [[(seed + 7 * r + 3 * c) % 10 for c in range(size)] for r in range(size)]
+
+    def rotated(g):
+        return [row[::-1] for row in g[::-1]]
+
+    pairs = [{"input": grid(s), "output": rotated(grid(s))} for s in range(3)]
+    return {"train": pairs[:2], "test": pairs[2:]}
+
+
+def test_puzzle_and_graph_commands_load_neither_numpy_nor_requests(tmp_path):
+    task = tmp_path / "task.json"
+    task.write_text(json.dumps(_rot180_task()))
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({
+        "name": "prompt_and_check",
+        "nodes": {"prompt": {"op": "puzzle_prompt", "params": {}}, "check": {"op": "puzzle_verify", "params": {}}},
+        "edges": [],
+        "inputs": {"task": [["prompt", "task"], ["check", "task"]], "program_text": [["check", "program_text"]]},
+        "outputs": {"prompt": ["prompt", "prompt"], "passed": ["check", "passed"]},
+    }))
+    points = _probe([
+        ["arc", "verify", "--task", str(task), "--program", "rotate180"],
+        ["graph", "run", "--graph", str(graph), "--task", str(task), "--inputs", '{"program_text": "rotate180"}'],
+    ], tmp_path)
+    assert points == [["import", 0, []], ["arc verify", 0, []], ["graph run", 0, []]]
+
+
+def test_scripted_sweep_never_loads_requests(tmp_path):
+    tasks = tmp_path / "tasks.json"
+    tasks.write_text(json.dumps([{"id": "t1", "prompt": "?", "answer_kind": "choice", "reference": "A"}]))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "solvers": [{"id": "s", "kind": "scripted", "params": {"table": {"*": [["A", 0.5], ["B", 0.5]]}}}],
+        "methods": [{"method_id": "best_of_n", "n": 4}, {"method_id": "self_consistency", "n": 3}],
+        "tasks": str(tasks),
+    }))
+    [_, (command, code, loaded)] = _probe([["eval", "--config", str(config), "--out", str(tmp_path / "runs")]],
+                                          tmp_path)
+    assert (command, code) == ("eval --config", 0)
+    assert "requests" not in loaded

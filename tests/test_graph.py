@@ -81,7 +81,9 @@ class TestExecute:
         assert executed == {"src", "left", "right"}  # all not downstream of the failure
 
     def test_missing_input_rejected(self):
-        with pytest.raises(ValueError, match="missing graph inputs"):
+        from quorum.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="missing graph inputs"):
             execute(_passthrough_graph(), {})
 
     def test_deterministic_digests(self):
