@@ -1,4 +1,3 @@
-from ..core.model import SolverBinding
 from ..errors import ConfigurationError, json_object
 from .base import Solver, SolverError, sample, supports_two_stage
 from .chat import (
@@ -30,6 +29,12 @@ __all__ = [
 ]
 
 
+# The ChatClient settings an http-model solver's params may set; the
+# client's own signature holds the default of each one left out.
+_CHAT_PARAMS = frozenset({"base_url", "model", "cache_dir", "api_key_env", "temperature", "max_tokens",
+                          "timeout_s", "max_retries", "max_in_flight"})
+
+
 def resolve_solvers(entries, cache_root) -> dict:
     """Resolve a run config's ``solvers`` list into solvers keyed by id.
 
@@ -40,35 +45,31 @@ def resolve_solvers(entries, cache_root) -> dict:
     for entry in entries:
         json_object(entry, "a solver entry")
         try:
-            binding = SolverBinding(entry["id"], entry["kind"], entry.get("params", {}))
+            sid, kind = entry["id"], entry["kind"]
         except KeyError as exc:
             raise ConfigurationError(f"solver {entry.get('id')!r} needs a {exc.args[0]!r} entry") from exc
-        if binding.id in solvers:
-            raise ConfigurationError(f"two solvers have the id {binding.id!r}")
-        params = binding.params
-        if binding.kind == "scripted":
+        if not isinstance(sid, str) or not sid:
+            raise ConfigurationError(f"solver id must be a non-empty string, got {sid!r}")
+        if sid in solvers:
+            raise ConfigurationError(f"two solvers have the id {sid!r}")
+        params = json_object(entry.get("params", {}), f"solver {sid!r} params")
+        if kind == "scripted":
             solver = ScriptedSolver(
-                binding.id,
+                sid,
                 table=params.get("table", {}),
                 rng_seed=params.get("rng_seed", 0),
                 prompt_triggers=params.get("prompt_triggers", {}),
                 two_stage=params.get("two_stage", {}),
             )
-        else:  # http-model, the only other kind a binding admits
+        elif kind == "http-model":
             for key in ("base_url", "model"):
                 if not isinstance(params.get(key), str):
-                    raise ConfigurationError(f"http-model solver {binding.id!r} needs a string {key!r} param")
-            client = ChatClient(
-                base_url=params["base_url"],
-                model=params["model"],
-                cache_dir=params.get("cache_dir", cache_root),
-                api_key_env=params.get("api_key_env", "OPENAI_API_KEY"),
-                temperature=params.get("temperature", 1.0),
-                max_tokens=params.get("max_tokens"),
-                timeout_s=params.get("timeout_s", 60.0),
-                max_retries=params.get("max_retries", 3),
-                max_in_flight=params.get("max_in_flight", 4),
-            )
-            solver = ChatSolver(binding.id, client)
-        solvers[binding.id] = solver
+                    raise ConfigurationError(f"http-model solver {sid!r} needs a string {key!r} param")
+            unknown = sorted(set(params) - _CHAT_PARAMS)
+            if unknown:
+                raise ConfigurationError(f"http-model solver {sid!r} takes no {unknown[0]!r} param")
+            solver = ChatSolver(sid, ChatClient(**{"cache_dir": cache_root, **params}))
+        else:
+            raise ConfigurationError(f"unknown solver kind {kind!r}")
+        solvers[sid] = solver
     return solvers

@@ -10,12 +10,11 @@ violations become error verdicts, never harness crashes.
 from __future__ import annotations
 
 import subprocess
-import time
 from dataclasses import dataclass
 from typing import Union
 
 from ..core.model import Check, Verdict
-from ..errors import DslSyntaxError, GridBoundsError, QuorumError
+from ..errors import ConfigurationError, DslSyntaxError, GridBoundsError, QuorumError
 from ..grids import Grid
 from . import dsl
 from .dsl import DslProgram, eval_dsl
@@ -24,16 +23,17 @@ from .task import ArcTask
 
 @dataclass(frozen=True)
 class ExternalProgram:
-    """Child process transforming one grid per invocation."""
+    """Child process transforming one grid per invocation, killed after
+    ``timeout_ms``: the only time bound on verifying or predicting with it."""
 
     command: tuple[str, ...]
     timeout_ms: int = 10_000
 
     def __post_init__(self):
         if self.timeout_ms <= 0:
-            raise ValueError("timeout_ms must be > 0")
+            raise ConfigurationError("timeout_ms must be > 0")
         if not self.command:
-            raise ValueError("empty command line")
+            raise ConfigurationError("empty command line")
 
 
 class ProgramRunError(QuorumError):
@@ -43,14 +43,14 @@ class ProgramRunError(QuorumError):
 Program = Union[DslProgram, ExternalProgram]
 
 
-def run_program(program: Program, grid: Grid, timeout_s: float = 10.0) -> Grid:
+def run_program(program: Program, grid: Grid) -> Grid:
     """Apply a candidate program to one grid; raises ProgramRunError."""
     if isinstance(program, DslProgram):
         try:
             return eval_dsl(program, grid)
         except GridBoundsError as exc:
             raise ProgramRunError(f"program left grid bounds: {exc}") from exc
-    timeout = min(timeout_s, program.timeout_ms / 1000)
+    timeout = program.timeout_ms / 1000
     try:
         proc = subprocess.run(
             program.command,
@@ -82,12 +82,12 @@ def _mismatches(got: Grid, want: Grid) -> list[tuple[int, int]]:
     ]
 
 
-def verify_program(program: Program, task: ArcTask, timeout_s: float = 10.0) -> Verdict:
+def verify_program(program: Program, task: ArcTask) -> Verdict:
     """Pass iff the program reproduces every train output exactly."""
     checks = []
     for i, (inp, want) in enumerate(task.train):
         try:
-            got = run_program(program, inp, timeout_s=timeout_s)
+            got = run_program(program, inp)
         except ProgramRunError as exc:
             return Verdict.errored(f"train[{i}]: {exc}", checks)
         diffs = _mismatches(got, want)
@@ -107,30 +107,24 @@ def verify_program(program: Program, task: ArcTask, timeout_s: float = 10.0) -> 
     return Verdict.failed(checks)
 
 
-def check_program_text(text: str, task: ArcTask, timeout_s: float = 10.0) -> Verdict:
+def check_program_text(text: str, task: ArcTask) -> Verdict:
     """``verify_program`` on the DSL program ``text`` spells; text that
     does not parse is a malformed-output error verdict."""
     try:
         program = dsl.parse_dsl(text)  # looked up when called, like verify_program
     except DslSyntaxError as exc:
         return Verdict.errored(f"malformed output: {exc}")
-    return verify_program(program, task, timeout_s=timeout_s)
+    return verify_program(program, task)
 
 
-def predict(program: Program, task: ArcTask, timeout_s: float = 10.0, unsafe: bool = False) -> list[Grid]:
+def predict(program: Program, task: ArcTask, unsafe: bool = False) -> list[Grid]:
     """Apply a verified program to every test input.
 
     Verification against the train pairs is enforced first unless
     ``unsafe`` is set; failures raise ProgramRunError.
     """
     if not unsafe:
-        verdict = verify_program(program, task, timeout_s=timeout_s)
+        verdict = verify_program(program, task)
         if not verdict.is_pass:
             raise ProgramRunError(f"program does not pass training pairs ({verdict.status})")
-    deadline = time.monotonic() + timeout_s * max(1, len(task.test))
-    outputs = []
-    for inp, _ in task.test:
-        if time.monotonic() > deadline:
-            raise ProgramRunError("prediction budget exhausted")
-        outputs.append(run_program(program, inp, timeout_s=timeout_s))
-    return outputs
+    return [run_program(program, inp) for inp, _ in task.test]

@@ -42,15 +42,21 @@ class ArcTask:
             except (GridBoundsError, TypeError) as exc:
                 raise TaskFormatError(f"task {task_id!r} {where}: {exc}") from exc
 
+        def pairs(name):
+            entries = data.get(name, [])
+            if not isinstance(entries, list) or not all(isinstance(pair, dict) for pair in entries):
+                raise TaskFormatError(f"task {task_id!r}: {name!r} must be a list of objects")
+            return enumerate(entries)
+
         if not isinstance(data, dict) or "train" not in data:
             raise TaskFormatError(f"task {task_id!r}: expected an object with a 'train' array")
         train = []
-        for i, pair in enumerate(data.get("train", [])):
+        for i, pair in pairs("train"):
             if "input" not in pair or "output" not in pair:
                 raise TaskFormatError(f"task {task_id!r} train[{i}]: needs input and output")
             train.append((grid(pair["input"], f"train[{i}].input"), grid(pair["output"], f"train[{i}].output")))
         test = []
-        for i, pair in enumerate(data.get("test", [])):
+        for i, pair in pairs("test"):
             if "input" not in pair:
                 raise TaskFormatError(f"task {task_id!r} test[{i}]: needs an input")
             out = grid(pair["output"], f"test[{i}].output") if pair.get("output") is not None else None

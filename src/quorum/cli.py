@@ -20,12 +20,11 @@ import hashlib
 import json
 import sys
 import time
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 from pathlib import Path
 
-from .adapters import ChatSolver, resolve_solvers
+from .adapters import resolve_solvers
 from .aggregate import coverage_curve, render_matrix, success_rate
 from .arc.augment import augment, leave_one_out
 from .arc.dsl import parse_dsl
@@ -60,22 +59,30 @@ def _load_eval_config(path: str) -> dict:
     for key in ("solvers", "methods"):
         if not isinstance(config[key], list) or not config[key]:
             raise ConfigurationError(f"eval config {key!r} must be a non-empty list, got {config[key]!r}")
-    if not isinstance(config["tasks"], str):
-        raise ConfigurationError(f"eval config 'tasks' must be a file path, got {config['tasks']!r}")
+    for key in ("tasks", "out"):
+        if not isinstance(config.get(key, ""), str):
+            raise ConfigurationError(f"eval config {key!r} must be a path, got {config[key]!r}")
     return config
 
 
 def _load_task_entries(path) -> list[dict]:
     """The entries of a tasks file, else a ConfigurationError: the file
-    must hold a non-empty JSON list of objects."""
+    must hold a non-empty JSON list of objects, each with its own
+    non-empty string ``id``."""
     with open(path) as fh:
         entries = json.load(fh)
     if not isinstance(entries, list):
         raise ConfigurationError(f"{path} must hold a JSON list of tasks, got {entries!r}")
     if not entries:
         raise ConfigurationError(f"no tasks in {path}")
+    ids = set()
     for entry in entries:
-        json_object(entry, f"a task in {path}")
+        task_id = json_object(entry, f"a task in {path}").get("id")
+        if not isinstance(task_id, str) or not task_id:
+            raise ConfigurationError(f"{path}: a task id must be a non-empty string, got {task_id!r}")
+        if task_id in ids:
+            raise ConfigurationError(f"{path}: two tasks have the id {task_id!r}")
+        ids.add(task_id)
     return entries
 
 
@@ -87,16 +94,13 @@ def cmd_eval(args) -> int:
     out_root = Path(args.out or config.get("out", "runs"))
 
     solvers = resolve_solvers(config["solvers"], cache_root=out_root / "cache")
-    # Without an http-model solver a cell is CPU-bound Python that threads
-    # only slow down, and its record must be byte-reproducible.
-    deterministic = all(not isinstance(s, ChatSolver) for s in solvers.values())
+    # Without a real backend a cell is CPU-bound Python that threads only
+    # slow down, and its record must be byte-reproducible.
+    deterministic = all(getattr(s, "deterministic_timing", False) for s in solvers.values())
     method_configs = [MethodConfig.from_dict(entry, solvers) for entry in config["methods"]]
 
-    task_path = config["tasks"]
-    tasks = [Task.from_dict(e) for e in _load_task_entries(task_path)]
-    repeated = [i for i, count in Counter(t.id for t in tasks).items() if count > 1]
-    if repeated:
-        raise ConfigurationError(f"{task_path}: two tasks have the id {repeated[0]!r}")
+    tasks = [Task.from_dict(e) for e in _load_task_entries(config["tasks"])]
+    store = RunStore(out_root)  # an --out that is not a directory stops the run here
 
     config_snapshot = {"config": config, "seed": seed}
     run_id = "run-" + hashlib.sha256(
@@ -133,7 +137,6 @@ def cmd_eval(args) -> int:
         with ThreadPoolExecutor(max_workers=args.parallel) as pool:
             record = RunRecord(run_id, config_snapshot, list(pool.map(run_cell, cells)))
 
-    store = RunStore(out_root)
     store.record_run(record)
     run_dir = out_root / run_id
     matrix = record.to_matrix()
@@ -331,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--task", required=True)
         p.add_argument("--program", default=None)
         p.add_argument("--external", nargs="+", default=None, metavar="CMD")
-        p.add_argument("--timeout-ms", type=int, default=10_000)
+        p.add_argument("--timeout-ms", type=int, default=ExternalProgram.timeout_ms,
+                       help="kill an --external program after this long (default %(default)s)")
         p.add_argument("--out", default=None)
         if name == "predict":
             p.add_argument("--unsafe", action="store_true",
@@ -381,7 +385,7 @@ def main(argv=None) -> int:
             return cmd_graph(args)
         raise ConfigurationError(f"unknown command {args.command!r}")
     except (ConfigurationError, GraphValidationError, DslSyntaxError, MutationError,
-            IntractableError, FileNotFoundError, json.JSONDecodeError) as exc:
+            IntractableError, OSError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except QuorumError as exc:

@@ -1,5 +1,5 @@
 from .answers import ANSWER_KINDS, AnswerValue, normalize_answer
-from .model import Candidate, Check, SolverBinding, Task, Verdict, VerifierBinding, register_verifier
+from .model import Candidate, Check, Task, Verdict, VerifierBinding, register_verifier
 from .runstore import CellRecord, RunRecord, RunStore
 from .verify import verify
 
@@ -9,7 +9,6 @@ __all__ = [
     "normalize_answer",
     "Candidate",
     "Check",
-    "SolverBinding",
     "Task",
     "Verdict",
     "VerifierBinding",

@@ -1,4 +1,4 @@
-"""Tasks, candidates, verdicts, and solver/verifier bindings."""
+"""Tasks, candidates, verdicts, and verifier bindings."""
 
 from __future__ import annotations
 
@@ -16,9 +16,10 @@ _VERIFIERS: dict[str, Callable] = {}
 def register_verifier(kind: str, bind: Callable) -> None:
     """``bind(params, answer_kind, task_id)`` runs once, when a task is
     built.  It raises ConfigurationError for a binding the verifier cannot
-    run, and returns the task's ``check(candidate, timeout_s) -> Verdict``
-    with all task-only work already done.  The check is shared between
-    threads, so it holds only immutable state."""
+    run, and returns the task's ``check(candidate) -> Verdict`` with all
+    task-only work already done, any setting it needs (a time bound, say)
+    read from ``params``.  The check is shared between threads, so it
+    holds only immutable state."""
     _VERIFIERS[kind] = bind
 
 
@@ -41,7 +42,7 @@ class Task:
     answer_kind: str
     reference: Optional[AnswerValue] = None
     verifier: Optional[VerifierBinding] = None
-    # check(candidate, timeout_s) -> Verdict, bound from the verifier, else
+    # check(candidate) -> Verdict, bound from the verifier, else
     # from the reference; None for an unverifiable task
     check: Optional[Callable] = field(default=None, init=False, repr=False, compare=False)
 
@@ -161,9 +162,9 @@ class Verdict:
         return self.status == "pass"
 
 
-def check_reference(reference: AnswerValue, candidate: Candidate, timeout_s: float) -> Verdict:
+def check_reference(reference: AnswerValue, candidate: Candidate) -> Verdict:
     """Pass iff the candidate's answer, normalized as the reference's kind,
-    equals the reference (at once, so ``timeout_s`` goes unused)."""
+    equals the reference."""
     got = candidate.answer
     if got is None:
         return Verdict.errored("candidate has no answer")
@@ -179,19 +180,3 @@ def check_reference(reference: AnswerValue, candidate: Candidate, timeout_s: flo
         f"expected {reference.canonical_text()!r}, got {got.canonical_text()!r}",
     )
     return Verdict.passed([check]) if ok else Verdict.failed([check])
-
-
-@dataclass(frozen=True)
-class SolverBinding:
-    """Declarative reference to a solver; resolved by the adapters module."""
-
-    id: str
-    kind: str  # scripted | http-model
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.id:
-            raise ConfigurationError("solver id must be non-empty")
-        if self.kind not in ("scripted", "http-model"):
-            raise ConfigurationError(f"unknown solver kind {self.kind!r}")
-        json_object(self.params, f"solver {self.id!r} params")

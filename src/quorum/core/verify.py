@@ -17,10 +17,8 @@ from ..errors import ConfigurationError, QuorumError
 from .answers import normalize_answer
 from .model import Candidate, Task, Verdict, check_reference, register_verifier
 
-DEFAULT_TIMEOUT_S = 10.0
 
-
-def verify(task: Task, candidate: Candidate, timeout_s: float = DEFAULT_TIMEOUT_S) -> Verdict:
+def verify(task: Task, candidate: Candidate) -> Verdict:
     """Check one candidate against its task.
 
     Pass iff the bound verifier accepts the candidate, or (with no
@@ -30,13 +28,13 @@ def verify(task: Task, candidate: Candidate, timeout_s: float = DEFAULT_TIMEOUT_
         return Verdict.errored(f"candidate error: {candidate.error}")
     if task.check is None:
         return Verdict.errored("unverifiable: task has no verifier and no reference answer")
-    return task.check(candidate, timeout_s)
+    return task.check(candidate)
 
 
-def _check_program(puzzle, candidate: Candidate, timeout_s: float) -> Verdict:
+def _check_program(puzzle, candidate: Candidate) -> Verdict:
     if candidate.answer is None or candidate.answer.kind != "text":
         return Verdict.errored("malformed output: puzzle verifier expects program text")
-    return programs.check_program_text(candidate.answer.payload, puzzle, timeout_s)
+    return programs.check_program_text(candidate.answer.payload, puzzle)
 
 
 def _bind_arc_program(params: dict, answer_kind: str, task_id: str):

@@ -39,7 +39,7 @@ EXACT_GAMES = {
 
 
 def exact_game(name: str) -> ExactGame:
-    if name not in EXACT_GAMES:
+    if not isinstance(name, str) or name not in EXACT_GAMES:
         raise ConfigurationError(f"no exact solver for game {name!r}; known: {', '.join(sorted(EXACT_GAMES))}")
     return EXACT_GAMES[name]
 

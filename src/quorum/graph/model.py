@@ -55,6 +55,8 @@ class PipelineGraph:
         for node_id, node in self.nodes.items():
             if not node_id:
                 raise GraphValidationError("empty node id")
+            if not isinstance(node.params, dict):
+                raise GraphValidationError(f"node {node_id!r} params must be a JSON object, got {node.params!r}")
             op_def(node.op)  # raises on unknown op
         fed: dict[tuple, str] = {}
         for edge in self.edges:
@@ -132,7 +134,7 @@ class PipelineGraph:
                 data={k: tuple(v) for k, v in payload.get("data", {}).items()},
                 name=payload.get("name", "pipeline"),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, AttributeError) as exc:  # AttributeError: a list has no .items()
             raise GraphValidationError(f"bad graph structure: {exc}") from exc
 
     @classmethod

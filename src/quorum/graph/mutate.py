@@ -92,10 +92,10 @@ def mutate(graph: PipelineGraph, mutation: Mutation) -> PipelineGraph:
         data[p["name"]] = data.get(p["name"], ()) + (p["item"],)
     elif kind == "remove_data":
         _need(p, "name", "index")
-        items = data.get(p["name"], ())
-        if not 0 <= p["index"] < len(items):
-            raise MutationError(f"data {p['name']!r} has no index {p['index']}")
-        data[p["name"]] = items[:p["index"]] + items[p["index"] + 1:]
+        items, index = data.get(p["name"], ()), p["index"]
+        if isinstance(index, bool) or not isinstance(index, int) or not 0 <= index < len(items):
+            raise MutationError(f"data {p['name']!r} has no index {index!r}")
+        data[p["name"]] = items[:index] + items[index + 1:]
 
     inputs = {
         name: tuple(b for b in bindings if b[0] in nodes)

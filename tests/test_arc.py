@@ -2,6 +2,7 @@
 
 import json
 import stat
+import subprocess
 import sys
 
 import pytest
@@ -234,11 +235,11 @@ class TestPredict:
 
 
 class TestExternalPrograms:
-    def _script(self, tmp_path, body: str):
+    def _script(self, tmp_path, body: str, timeout_ms: int = 5000):
         path = tmp_path / "prog.py"
         path.write_text(body)
         path.chmod(path.stat().st_mode | stat.S_IEXEC)
-        return ExternalProgram((sys.executable, str(path)), timeout_ms=5000)
+        return ExternalProgram((sys.executable, str(path)), timeout_ms=timeout_ms)
 
     def test_round_trip_identity_program(self, tmp_path):
         prog = self._script(tmp_path, "import sys\nsys.stdout.write(sys.stdin.read())\n")
@@ -258,9 +259,24 @@ class TestExternalPrograms:
             run_program(prog, Grid.from_rows([[1]]))
 
     def test_timeout_is_error(self, tmp_path):
-        prog = self._script(tmp_path, "import time\ntime.sleep(60)\n")
+        prog = self._script(tmp_path, "import time\ntime.sleep(60)\n", timeout_ms=300)
         with pytest.raises(ProgramRunError, match="timeout"):
-            run_program(prog, Grid.from_rows([[1]]), timeout_s=0.3)
+            run_program(prog, Grid.from_rows([[1]]))
+
+    def test_timeout_ms_is_the_only_bound(self, monkeypatch):
+        # A bound above 10 s reaches the child process unchanged.
+        import quorum.arc.programs
+
+        timeouts = []
+
+        def fake_run(command, **kwargs):
+            timeouts.append(kwargs["timeout"])
+            return subprocess.CompletedProcess(command, 0, stdout="1\n\n", stderr="")
+
+        monkeypatch.setattr(quorum.arc.programs.subprocess, "run", fake_run)
+        grid = Grid.from_rows([[1]])
+        assert run_program(ExternalProgram(("slow",), timeout_ms=20_000), grid) == grid
+        assert timeouts == [20.0]
 
     def test_crashing_program_no_partial_predict(self, tmp_path):
         prog = self._script(tmp_path, "import sys\nsys.exit(1)\n")

@@ -165,12 +165,20 @@ class TestEval:
             ({}, {}, {"kind": "http-model", "params": {"base_url": "http://127.0.0.1:9"}}),
             ({}, {"method_id": "mixture_of_agents", "weights": ["a"]}, {}),
             ({}, {"method_id": "mixture_of_agents", "weights": [0.5, 0.5]}, {}),
+            ({"answer_kind": "text", "reference": None,
+              "verifier": {"kind": "arc_program", "params": {"task": {"train": [1]}}}}, {}, {}),
+            ({"answer_kind": "text", "reference": None,
+              "verifier": {"kind": "arc_program",
+                           "params": {"task": {"train": [{"input": [[1]], "output": [[1]]}], "test": 5}}}}, {}, {}),
+            ({"answer_kind": "integer", "reference": None,
+              "verifier": {"kind": "game_answer", "params": {"game": ["ninja"], "n": 6}}}, {}, {}),
         ],
         ids=["unknown-answer-kind", "no-prompt", "coinflip-as-integer", "puzzle-without-task",
              "unknown-verifier-solver", "unknown-extra-solver", "solver-without-id", "n-as-text",
              "rounds-as-text", "ragged-puzzle-grid", "intractable-game", "game-parameter-as-text",
              "http-model-without-base-url", "http-model-without-model", "weights-as-text",
-             "mixture-weight-count"],
+             "mixture-weight-count", "puzzle-train-entry-not-an-object", "puzzle-test-not-a-list",
+             "game-not-a-string"],
     )
     def test_config_mistakes_are_exit_2(self, tmp_path, capsys, task_edit, method_edit, solver_edit):
         def edited(entry, edit):  # None drops a key
@@ -216,6 +224,12 @@ class TestEval:
             lambda config, tasks: config["methods"][0].update(method_id="rto", params={"forward_prompt": "Solve"}),
             lambda config, tasks: config["methods"][0].update(
                 method_id="rto", params={"backward_prompt": "Restate {output} as {x}"}),
+            lambda config, tasks: config.update(out=5),
+            lambda config, tasks: config["solvers"][0].update(id=5),
+            lambda config, tasks: tasks[0].update(id=5),
+            lambda config, tasks: tasks[0].pop("id"),
+            lambda config, tasks: config["solvers"].__setitem__(0, {"id": "s", "kind": "http-model", "params": {
+                "base_url": "http://127.0.0.1:9", "model": "m", "api_key_env": None, "temprature": 0.5}}),
         ],
         ids=["no-solvers", "no-methods", "duplicate-solver-id", "duplicate-task-id", "weights-as-number",
              "solver-params-as-list", "method-params-as-list", "unknown-method-key", "probability-as-text",
@@ -223,7 +237,8 @@ class TestEval:
              "verifier-params-as-list", "seed-as-text", "prover-verifier-without-judge", "tasks-file-not-a-list",
              "tasks-path-as-number", "rng-seed-as-text", "leap-examples-as-number", "leap-example-not-a-pair",
              "rto-forward-prompt-as-number", "rto-forward-prompt-without-input",
-             "rto-backward-prompt-with-another-field"],
+             "rto-backward-prompt-with-another-field", "out-as-number", "solver-id-as-number",
+             "task-id-as-number", "task-without-id", "http-model-unknown-param"],
     )
     def test_config_shape_mistakes_are_exit_2_before_any_cell(self, tmp_path, capsys, monkeypatch, edit):
         import quorum.cli
@@ -357,6 +372,18 @@ class TestArcCli:
         task_file = tmp_path / "rot.json"
         task_file.write_text(json.dumps(ROT180_TASK))
         assert main(["arc", "verify", "--task", str(task_file), "--program", "rotate45"]) == 2
+
+    @pytest.mark.parametrize("puzzle,argv", [
+        ({"train": [1]}, ["--program", "identity"]),
+        ({**ROT180_TASK, "test": 5}, ["--program", "identity"]),
+        (ROT180_TASK, ["--external", "cat", "--timeout-ms", "0"]),
+    ], ids=["train-entry-not-an-object", "test-not-a-list", "timeout-ms-zero"])
+    @pytest.mark.parametrize("command", ["verify", "predict"])
+    def test_input_mistakes_are_exit_2(self, tmp_path, capsys, command, puzzle, argv):
+        task_file = tmp_path / "puzzle.json"
+        task_file.write_text(json.dumps(puzzle))
+        assert main(["arc", command, "--task", str(task_file), *argv]) == 2
+        assert "configuration error" in capsys.readouterr().err
 
     def test_predict_prints_grid(self, tmp_path, capsys):
         task_file = tmp_path / "rot.json"
@@ -595,7 +622,11 @@ class TestGraphCli:
         assert main(["graph", "run", "--graph", str(graph), "--inputs", inputs]) == 2
         assert f"configuration error: {message}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("content", [1, [1]], ids=["not-a-list", "entry-not-an-object"])
+    @pytest.mark.parametrize(
+        "content",
+        [1, [1], [{"id": "q", "prompt": "?"}, {"id": "q", "prompt": "!"}], [{"prompt": "?"}]],
+        ids=["not-a-list", "entry-not-an-object", "duplicate-id", "entry-without-id"],
+    )
     def test_abtest_tasks_file_of_other_json_is_exit_2(self, tmp_path, capsys, content):
         graph = self._template_path(tmp_path)
         tasks = tmp_path / "tasks.json"
@@ -608,6 +639,32 @@ class TestGraphCli:
         bad.write_text("{not json")
         assert main(["graph", "run", "--graph", str(bad)]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda graph: graph.update(nodes=[]),
+        lambda graph: graph["nodes"]["prompt"].update(params=5),
+    ], ids=["nodes-not-an-object", "params-not-an-object"])
+    def test_malformed_graph_file_is_exit_2(self, tmp_path, capsys, edit):
+        graph = json.loads(self._template_path(tmp_path).read_text())
+        edit(graph)
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(graph))
+        task_file = tmp_path / "rot.json"
+        task_file.write_text(json.dumps(ROT180_TASK))
+        assert main(["graph", "run", "--graph", str(path), "--task", str(task_file),
+                     "--config", str(_solver_config(tmp_path))]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mutation", [
+        'add_node extra {"op": "const", "params": 5}',
+        'remove_data examples {"index": "0"}',
+    ], ids=["add-node-params-not-an-object", "remove-data-index-not-an-integer"])
+    def test_malformed_mutation_is_exit_2(self, tmp_path, capsys, mutation):
+        graph_file = self._template_path(tmp_path)
+        before = graph_file.read_text()
+        assert main(["graph", "mutate", "--graph", str(graph_file), "--mutation", mutation]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert graph_file.read_text() == before
 
     def test_mutate_writes_new_graph(self, tmp_path, capsys):
         graph_file = self._template_path(tmp_path)
@@ -656,6 +713,35 @@ class TestGraphCli:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["solver_ids"] == ["small", "small#1"] or len(payload["solver_ids"]) == 2
+
+
+@pytest.mark.parametrize("case", [
+    "eval-config-is-a-directory", "eval-tasks-is-a-directory", "eval-out-is-a-file",
+    "graph-is-a-directory", "graph-config-is-a-directory", "predict-out-is-a-directory",
+])
+def test_path_that_cannot_be_read_or_written_is_exit_2(tmp_path, capsys, eval_setup, case):
+    from quorum.fixtures import graph_template
+
+    config_file, _ = eval_setup
+    directory = tmp_path / "a-directory"
+    directory.mkdir()
+    task_file = tmp_path / "rot.json"
+    task_file.write_text(json.dumps(ROT180_TASK))
+    graph = tmp_path / "olympiad.json"
+    graph_template("olympiad_pipeline").save(graph)
+    if case == "eval-tasks-is-a-directory":
+        config_file.write_text(json.dumps({**json.loads(config_file.read_text()), "tasks": str(directory)}))
+    argv = {
+        "eval-config-is-a-directory": ["eval", "--config", str(directory)],
+        "eval-tasks-is-a-directory": ["eval", "--config", str(config_file), "--out", str(tmp_path / "r")],
+        "eval-out-is-a-file": ["eval", "--config", str(config_file), "--out", str(task_file)],
+        "graph-is-a-directory": ["graph", "run", "--graph", str(directory)],
+        "graph-config-is-a-directory": ["graph", "run", "--graph", str(graph), "--config", str(directory)],
+        "predict-out-is-a-directory": ["arc", "predict", "--task", str(task_file), "--program", "rotate180",
+                                       "--out", str(directory)],
+    }[case]
+    assert main(argv) == 2
+    assert "configuration error" in capsys.readouterr().err
 
 
 def test_console_script_installed(tmp_path):

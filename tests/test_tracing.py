@@ -1,4 +1,5 @@
-"""The benchmark's per-layer tracer still sees every layer of ``quorum eval``.
+"""The benchmark's per-layer tracer still sees every layer of ``quorum eval``
+and of ``quorum arc verify`` / ``predict``.
 
 ``benchmarks/tracing.py`` wraps functions where their callers look them
 up, so renaming or inlining one of those lookups silently zeroes a
@@ -37,19 +38,21 @@ import json, sys
 import tracing
 from quorum.cli import main
 
-config, out, result = sys.argv[1:]
+config, out, puzzle, result = sys.argv[1:]
 tracer = tracing.install()
 code = main(["eval", "--config", config, "--parallel", "2", "--out", out])
+codes = [main(["arc", command, "--task", puzzle, "--program", "rotate180"]) for command in ("verify", "predict")]
 names = tracer.table()[:, 1].tolist()
 spans = {name: names.count(number) for name, number in tracer.codes.items()}
 with open(result, "w") as fh:
-    json.dump({"code": code, "cells": spans["cell"], "spans": spans,
+    json.dump({"code": code, "arc_codes": codes, "cells": spans["cell"], "spans": spans,
                "metrics": tracing.layer_metrics(tracer, 1)}, fh)
 """
 
 
 def test_benchmark_tracer_sees_every_eval_layer(tmp_path):
     (tmp_path / "tasks.json").write_text(json.dumps(TASKS))
+    (tmp_path / "puzzle.json").write_text(json.dumps(ROT180_TASK))
     table = {"r": [["A", 0.5], ["B", 0.5]], "p": [["rotate180", 0.5], ["identity", 0.5]],
              "g": [["3", 0.5], ["4", 0.5]]}
     two_stage = {"*": [["think", 0.5, [["A", 0.5], ["3", 0.5]]], ["guess", 0.5, [["rotate180", 1.0]]]]}
@@ -69,12 +72,13 @@ def test_benchmark_tracer_sees_every_eval_layer(tmp_path):
         filter(None, [str(ROOT / "benchmarks"), str(ROOT / "src"), env.get("PYTHONPATH")]))
     result = tmp_path / "result.json"
     proc = subprocess.run(
-        [sys.executable, "-c", TRACED_RUN, str(tmp_path / "config.json"), str(tmp_path / "runs"), str(result)],
+        [sys.executable, "-c", TRACED_RUN, str(tmp_path / "config.json"), str(tmp_path / "runs"),
+         str(tmp_path / "puzzle.json"), str(result)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     traced = json.loads(result.read_text())
-    assert traced["code"] == 0
+    assert traced["code"] == 0 and traced["arc_codes"] == [0, 0]
     assert traced["cells"] == len(TASKS) * len(config["methods"])
     # One span per cell of each method: a method that called another wrapped
     # public combinator would count twice.
@@ -85,3 +89,5 @@ def test_benchmark_tracer_sees_every_eval_layer(tmp_path):
     for layer in ("core.verify.reference", "core.verify.arc_program", "core.verify.game_answer",
                   "adapters.sample", "seeds.derive_seed"):
         assert metrics[f"{layer}.calls"] > 0, layer
+    for metric in ("arc.programs.verify_program.ms", "arc.dsl.eval.calls", "arc.dsl.parse.us"):
+        assert metrics[metric] > 0, metric
