@@ -14,13 +14,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from ..errors import GridBoundsError, QuorumError
+from ..errors import ConfigurationError, GridBoundsError
 from ..grids import Grid
 
 log = logging.getLogger(__name__)
 
 
-class TaskFormatError(QuorumError):
+class TaskFormatError(ConfigurationError):
     pass
 
 
@@ -78,6 +78,8 @@ def as_arc_task(task, task_id: Optional[str] = None) -> ArcTask:
     id ``task_id``, else the dict's ``id``, else ``"task"``."""
     if isinstance(task, ArcTask):
         return task
+    if not isinstance(task, dict):
+        raise TaskFormatError(f"a puzzle must be an object, got {task!r}")
     return ArcTask.from_dict(task, task_id or task.get("id", "task"))
 
 

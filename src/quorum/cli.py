@@ -221,7 +221,7 @@ def cmd_arc(args) -> int:
 
 
 def cmd_game(args) -> int:
-    from .games import build_game, exact_game, random_policy, sequence_max_len_with_witness, simulate
+    from .games import exact_game, random_policy, sequence_max_len_with_witness, simulate
 
     name = args.name
     exact = exact_game(name)
@@ -250,7 +250,7 @@ def cmd_game(args) -> int:
         print(f"witness: {','.join(map(str, witness))}")
 
     if args.simulate:
-        game = build_game(name, **game_params)
+        game = exact.build(**game_params)
         trajectories = simulate(game, random_policy, args.simulate, args.seed or 0)
         record["simulation"] = {
             "episodes": args.simulate,

@@ -76,7 +76,7 @@ def normalize_answer(raw: Union[str, int, Grid, list], kind: str) -> AnswerValue
                 return AnswerValue("grid", Grid.from_text(raw))
             if isinstance(raw, (list, tuple)):
                 return AnswerValue("grid", Grid.from_rows(raw))
-        except GridBoundsError as exc:
+        except (GridBoundsError, TypeError) as exc:  # TypeError: a row that is not a list
             raise MalformedAnswerError(f"bad grid answer: {exc}") from exc
         raise MalformedAnswerError(f"cannot interpret {type(raw).__name__} as a grid")
 

@@ -1,5 +1,5 @@
 from .base import GameSpec, Trajectory, random_policy, replay, scripted_policy, simulate
-from .catalog import EXACT_GAMES, GAME_BUILDERS, build_game, check_game_task, exact_game, exact_value
+from .catalog import EXACT_GAMES, check_game_task, exact_game, exact_value
 from .coinflip import coinflip_game, coinflip_solvable, label_parities, move_masks
 from .ninja import best_path_reds, ninja_game, ninja_guarantee
 from .sequence import has_zero_window, sequence_game, sequence_max_len, sequence_max_len_with_witness
@@ -11,7 +11,6 @@ from .turbo import (
     turbo_game,
     turbo_min_attempts,
 )
-from .value_iteration import ValueTable, enumerate_states, rollout_greedy, value_iterate
 
 __all__ = [
     "GameSpec",
@@ -21,8 +20,6 @@ __all__ = [
     "scripted_policy",
     "simulate",
     "EXACT_GAMES",
-    "GAME_BUILDERS",
-    "build_game",
     "check_game_task",
     "exact_game",
     "exact_value",
@@ -43,8 +40,4 @@ __all__ = [
     "guaranteed_failures",
     "turbo_game",
     "turbo_min_attempts",
-    "ValueTable",
-    "enumerate_states",
-    "rollout_greedy",
-    "value_iterate",
 ]

@@ -25,9 +25,7 @@ class GameSpec:
     ``transition(state, action, rng) -> (next_state, reward)``; the rng
     argument covers hidden-information games and is ignored by
     deterministic ones.  ``initial_state(rng)`` may randomize hidden
-    state (e.g. a monster placement).  ``enumerable`` marks games whose
-    transitions ignore the rng, making them eligible for value
-    iteration.
+    state (e.g. a monster placement).
     """
 
     name: str
@@ -37,8 +35,6 @@ class GameSpec:
     transition: Callable
     is_terminal: Callable
     max_steps: int = 2000
-    enumerable: bool = True
-    terminates: bool = False
 
 
 @dataclass(frozen=True)
@@ -106,7 +102,7 @@ def scripted_policy(moves: Sequence) -> Policy:
 def simulate(game: GameSpec, policy: Policy, episodes: int, seed: int) -> list[Trajectory]:
     """Run seeded, replayable episodes of a game under a policy.
 
-    A policy returning an illegal action terminates that trajectory with
+    A policy returning an illegal action ends that trajectory with
     an error flag instead of raising.
     """
     if episodes < 1:

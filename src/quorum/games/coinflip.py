@@ -104,5 +104,4 @@ def coinflip_game(m: int, n: int) -> GameSpec:
         legal_actions=lambda state: moves,
         transition=transition,
         is_terminal=lambda state: state[0] == goal,
-        enumerable=True,
     )

@@ -79,6 +79,4 @@ def ninja_game(n: int, coloring: tuple[int, ...] | None = None) -> GameSpec:
         legal_actions=legal_actions,
         transition=transition,
         is_terminal=lambda state: state[1] == n - 1,
-        enumerable=coloring is not None,
-        terminates=True,
     )

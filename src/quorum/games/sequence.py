@@ -91,6 +91,4 @@ def sequence_game(bound: int) -> GameSpec:
         legal_actions=lambda state: list(range(1, bound + 1)),
         transition=transition,
         is_terminal=lambda state: state[2] or len(state[0]) >= cap,
-        enumerable=True,
-        terminates=True,
     )

@@ -231,5 +231,4 @@ def turbo_game(rows: int, cols: int, end_on_collision: bool = True) -> GameSpec:
         legal_actions=legal_actions,
         transition=transition,
         is_terminal=lambda state: state[4],
-        enumerable=False,  # hidden placement is drawn per episode
     )

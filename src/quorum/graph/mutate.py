@@ -38,10 +38,16 @@ class Mutation:
             raise MutationError(f"unknown mutation kind {self.kind!r}")
 
 
+_VALUE_KEYS = ("value", "item", "index")  # every other payload key names something, so is a string
+
+
 def _need(payload: dict, *keys):
     missing = [k for k in keys if k not in payload]
     if missing:
         raise MutationError(f"payload missing {missing}")
+    for k in keys:
+        if k not in _VALUE_KEYS and not isinstance(payload[k], str):
+            raise MutationError(f"payload {k!r} must be a string, got {payload[k]!r}")
 
 
 def mutate(graph: PipelineGraph, mutation: Mutation) -> PipelineGraph:

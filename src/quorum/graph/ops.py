@@ -114,7 +114,7 @@ def _run_method(params, inputs, ctx, node_id):
     from ..methods import MethodConfig, run_method
 
     task = inputs["task"]
-    if isinstance(task, dict):
+    if not isinstance(task, Task):
         task = Task.from_dict(task)
     entry = dict(params)
     if "solver_id" not in entry:

@@ -43,7 +43,7 @@ class Grid:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "Grid":
-        return cls(tuple(tuple(int(v) for v in row) for row in rows))
+        return cls(tuple(tuple(row) for row in rows))
 
     @classmethod
     def from_text(cls, text: str) -> "Grid":

@@ -377,7 +377,10 @@ class TestArcCli:
         ({"train": [1]}, ["--program", "identity"]),
         ({**ROT180_TASK, "test": 5}, ["--program", "identity"]),
         (ROT180_TASK, ["--external", "cat", "--timeout-ms", "0"]),
-    ], ids=["train-entry-not-an-object", "test-not-a-list", "timeout-ms-zero"])
+        *(({**ROT180_TASK, "test": [{"input": [[1, cell], [0, 2]]}]}, ["--program", "identity"])
+          for cell in (1.5, True, "3", "x", {})),
+    ], ids=["train-entry-not-an-object", "test-not-a-list", "timeout-ms-zero",
+            "cell-float", "cell-bool", "cell-digit-string", "cell-string", "cell-object"])
     @pytest.mark.parametrize("command", ["verify", "predict"])
     def test_input_mistakes_are_exit_2(self, tmp_path, capsys, command, puzzle, argv):
         task_file = tmp_path / "puzzle.json"
@@ -452,11 +455,17 @@ class TestGameCli:
         assert len(record["witness"]) == 7
 
     def test_simulation_attached(self, tmp_path, capsys):
-        out = tmp_path / "coin.json"
-        assert main(["--seed", "3", "game", "coinflip", "2", "3",
-                     "--simulate", "4", "--out", str(out)]) == 0
-        record = json.loads(out.read_text())
-        assert len(record["simulation"]["total_rewards"]) == 4
+        # Each exact game simulates its own encoding; the rewards are pinned.
+        for argv, rewards in [
+            (["coinflip", "2", "3"], [990, 982, 994, 976]),
+            (["sequence", "4"], [3.0, 1.0, 3.0, 1.0]),
+            (["ninja", "6"], [4.0, 1.0, 2.0, 2.0]),
+            (["turbo", "4", "3"], [-1.02, -1.02, -1.11, -1.01]),
+        ]:
+            out = tmp_path / f"{argv[0]}.json"
+            assert main(["--seed", "3", "game", *argv, "--simulate", "4", "--out", str(out)]) == 0
+            record = json.loads(out.read_text())
+            assert record["simulation"] == {"episodes": 4, "seed": 3, "total_rewards": rewards}, argv
 
     def test_intractable_is_exit_2(self, capsys):
         assert main(["game", "coinflip", "6", "6"]) == 2
@@ -622,6 +631,24 @@ class TestGraphCli:
         assert main(["graph", "run", "--graph", str(graph), "--inputs", inputs]) == 2
         assert f"configuration error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("template,task,message", [
+        ("puzzle_pipeline", 5, "a puzzle must be an object, got 5"),
+        ("puzzle_pipeline", {"train": 1}, "'train' must be a list of objects"),
+        ("olympiad_pipeline", 5, "a task must be a JSON object, got 5"),
+    ], ids=["puzzle-not-an-object", "puzzle-train-not-a-list", "task-not-an-object"])
+    def test_graph_task_input_that_is_not_a_task_is_exit_2(self, tmp_path, capsys, template, task, message):
+        from quorum.fixtures import graph_template
+
+        graph = tmp_path / "graph.json"
+        graph_template(template).save(graph)
+        config = tmp_path / "solvers.json"
+        config.write_text(json.dumps({"solvers": [
+            {"id": "primary", "kind": "scripted", "params": {"table": {"*": [["3", 1.0]]}}}]}))
+        argv = ["--config", str(config)] if template == "olympiad_pipeline" else []
+        assert main(["graph", "run", "--graph", str(graph), "--inputs", json.dumps({"task": task}), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err
+
     @pytest.mark.parametrize(
         "content",
         [1, [1], [{"id": "q", "prompt": "?"}, {"id": "q", "prompt": "!"}], [{"prompt": "?"}]],
@@ -658,7 +685,13 @@ class TestGraphCli:
     @pytest.mark.parametrize("mutation", [
         'add_node extra {"op": "const", "params": 5}',
         'remove_data examples {"index": "0"}',
-    ], ids=["add-node-params-not-an-object", "remove-data-index-not-an-integer"])
+        'edit_param x {"node": [1], "key": "k", "value": 1}',
+        'edit_param synthesize {"key": [1], "value": 1}',
+        'add_node x {"op": ["const"]}',
+        'add_data x {"name": [1], "item": 1}',
+        'remove_node x {"node": {"a": 1}}',
+    ], ids=["add-node-params-not-an-object", "remove-data-index-not-an-integer", "node-not-a-string",
+            "key-not-a-string", "op-not-a-string", "name-not-a-string", "node-an-object"])
     def test_malformed_mutation_is_exit_2(self, tmp_path, capsys, mutation):
         graph_file = self._template_path(tmp_path)
         before = graph_file.read_text()

@@ -70,7 +70,8 @@ class TestNormalizeAnswer:
 
     @pytest.mark.parametrize(
         "raw,kind",
-        [("no digits here", "integer"), ("AB", "choice"), ("", "text"), ("5x\nyy", "grid")],
+        [("no digits here", "integer"), ("AB", "choice"), ("", "text"), ("5x\nyy", "grid"),
+         ([[1.9, True]], "grid"), ([[1, "3"]], "grid"), ([1], "grid")],
     )
     def test_malformed_raises(self, raw, kind):
         with pytest.raises(MalformedAnswerError):

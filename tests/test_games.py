@@ -1,4 +1,4 @@
-"""Exact game solvers, simulation, and value iteration."""
+"""Exact game solvers and simulation."""
 
 import math
 
@@ -6,11 +6,9 @@ import pytest
 
 from quorum.errors import ConfigurationError, IntractableError
 from quorum.games import (
-    GameSpec,
     TurboKnowledge,
     UnwinnableError,
     all_placements,
-    build_game,
     coinflip_game,
     coinflip_solvable,
     guaranteed_failures,
@@ -21,7 +19,6 @@ from quorum.games import (
     ninja_guarantee,
     random_policy,
     replay,
-    rollout_greedy,
     scripted_policy,
     sequence_game,
     sequence_max_len,
@@ -29,7 +26,6 @@ from quorum.games import (
     simulate,
     turbo_game,
     turbo_min_attempts,
-    value_iterate,
 )
 from quorum.seeds import rng_for
 
@@ -340,56 +336,3 @@ class TestSimulateGeneric:
         game = coinflip_game(2, 2)
         [trajectory] = simulate(game, scripted_policy([(9, 9, "tr")]), episodes=1, seed=0)
         assert trajectory.error and "illegal action" in trajectory.error
-
-    def test_catalog_games_simulate_deterministically(self):
-        for name, kwargs in [
-            ("set-cover", {}),
-            ("necklace", {}),
-            ("strip-cut", {}),
-            ("chests", {}),
-            ("path-partition", {}),
-            ("edge-coloring", {}),
-        ]:
-            game = build_game(name, **kwargs)
-            a = simulate(game, random_policy, episodes=3, seed=11)
-            b = simulate(game, random_policy, episodes=3, seed=11)
-            assert [t.to_json() for t in a] == [t.to_json() for t in b], name
-
-
-class TestValueIteration:
-    def test_two_state_chain_closed_form(self):
-        # state 0: "stay" pays 1 and loops, "go" pays 0 and terminates.
-        # With gamma = 0.5 the loop is worth 1 / (1 - 0.5) = 2.
-        def transition(state, action, rng):
-            if action == "stay":
-                return (0,), 1.0
-            return (1,), 0.0
-
-        chain = GameSpec(
-            name="chain",
-            params={},
-            initial_state=lambda rng: (0,),
-            legal_actions=lambda s: ["stay", "go"],
-            transition=transition,
-            is_terminal=lambda s: s == (1,),
-        )
-        table = value_iterate(chain, gamma=0.5, tol=1e-10)
-        assert table.values[(0,)] == pytest.approx(2.0, abs=1e-6)
-        assert table.policy[(0,)] == "stay"
-
-    def test_gamma_one_refused_for_nonterminating(self):
-        game = coinflip_game(2, 2)
-        with pytest.raises(ConfigurationError):
-            value_iterate(game, gamma=1.0, tol=1e-6)
-
-    def test_greedy_reaches_goal_iff_solvable(self):
-        for m, n in ((2, 3), (2, 2)):
-            game = coinflip_game(m, n)
-            table = value_iterate(game, gamma=0.99, tol=1e-6)
-            visited = rollout_greedy(game, table, max_steps=1 << (m * n))
-            reached = any(game.is_terminal(s) for s in visited)
-            assert reached == coinflip_solvable(m, n), (m, n)
-
-    def test_stochastic_game_refused(self):
-        with pytest.raises(ConfigurationError):
-            value_iterate(turbo_game(4, 3), gamma=0.9, tol=1e-6)

@@ -239,6 +239,19 @@ class TestProposeRevision:
         assert proposals == []
         assert sum("dropping proposal" in r.message for r in caplog.records) == 2
 
+    def test_non_string_identifier_dropped_with_warning(self, caplog):
+        graph = _diamond_graph()
+        judge = self._judge('edit_param right {"node": [1], "key": "k", "value": 1}\n'
+                            'edit_param right {"key": [1], "value": 1}\n'
+                            'add_node x {"op": ["const"]}\n'
+                            'add_data x {"name": [1], "item": 1}\n'
+                            'remove_node x {"node": {"a": 1}}\n'
+                            'edit_param right {"key": "x", "value": [1]}')
+        with caplog.at_level(logging.WARNING):
+            proposals = propose_revision(graph, {"entries": []}, {}, judge)
+        assert proposals == [Mutation("edit_param", {"key": "x", "value": [1], "node": "right"})]
+        assert sum("must be a string" in r.message for r in caplog.records) == 5
+
     def test_free_text_dropped(self, caplog):
         graph = _diamond_graph()
         judge = self._judge("maybe try increasing the sample count?")
