@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from ..errors import ConfigurationError, json_object
+from ..errors import ConfigurationError, integer, json_object, list_of, number, string
 from ..seeds import rng_for, uniform_for
 from .base import SolverError
 
@@ -23,29 +23,30 @@ AnswerTable = Sequence[tuple[str, float]]
 
 
 def _as_table(entries, where: str) -> tuple[tuple[str, float], ...]:
-    """``entries`` as (answer, probability) pairs whose probabilities are
-    non-negative and sum to 1, else a ConfigurationError."""
-    if not isinstance(entries, (list, tuple)) or not all(
-        isinstance(e, (list, tuple)) and len(e) == 2 and isinstance(e[0], str)
-        and isinstance(e[1], (int, float)) and not isinstance(e[1], bool) for e in entries
-    ):
-        raise ConfigurationError(f"{where}: expected a list of [answer, probability] pairs, got {entries!r}")
-    table = tuple(map(tuple, entries))
+    """``entries`` as (answer, probability) pairs whose probabilities sum
+    to 1, else a ConfigurationError."""
+    table = list_of(entries, where, _pair)
     total = sum(p for _, p in table)
     if abs(total - 1.0) > PROB_TOL:
         raise ConfigurationError(f"probabilities for {where} sum to {total}, not 1")
-    if any(p < 0 for _, p in table):
-        raise ConfigurationError(f"negative probability in {where}")
     return table
+
+
+def _pair(entry, what: str) -> tuple[str, float]:
+    answer, p = list_of(entry, what, size=2)
+    return string(answer, f"{what} answer"), number(p, f"{what} probability")
 
 
 def _as_stages(stages, key: str) -> tuple[tuple[str, float, tuple], ...]:
     """``stages`` as (prefix, probability, completion table) triples."""
-    if not isinstance(stages, (list, tuple)) or not all(isinstance(s, (list, tuple)) and len(s) == 3 for s in stages):
-        raise ConfigurationError(f"two-stage entries of {key!r}: expected a list of [prefix, probability, table], "
-                                 f"got {stages!r}")
+
+    def stage(entry, what):
+        prefix, p, table = list_of(entry, what, size=3)
+        return string(prefix, f"{what} prefix"), p, _as_table(table, f"completions of prefix {prefix!r}")
+
+    stages = list_of(stages, f"two-stage entries of {key!r}", stage)
     _as_table([(pre, p) for pre, p, _ in stages], f"two-stage prefixes of {key!r}")
-    return tuple((pre, p, _as_table(tab, f"completions of prefix {pre!r}")) for pre, p, tab in stages)
+    return stages
 
 
 def _draw(table: AnswerTable, u: float) -> str:
@@ -79,19 +80,17 @@ class ScriptedSolver:
         prompt_triggers: Optional[dict[str, dict[str, AnswerTable]]] = None,
         two_stage: Optional[dict[str, Sequence[tuple[str, float, AnswerTable]]]] = None,
     ):
-        if not id:
-            raise ConfigurationError("solver id must be non-empty")
-        self.id = id
-        self.table = {k: _as_table(v, f"task {k!r}") for k, v in json_object(table, f"{id} table").items()}
-        if isinstance(rng_seed, bool) or not isinstance(rng_seed, int):
-            raise ConfigurationError(f"{id} rng_seed must be an integer, got {rng_seed!r}")
-        self.rng_seed = rng_seed
+        self.id = string(id, "solver id", nonempty=True)
+        self.table = {k: _as_table(v, f"{id} table {k!r}") for k, v in json_object(table, f"{id} table").items()}
+        self.rng_seed = integer(rng_seed, f"{id} rng_seed")
+        triggers = json_object({} if prompt_triggers is None else prompt_triggers, f"{id} prompt_triggers")
         self.prompt_triggers = {
-            trig: {k: _as_table(v, f"trigger {trig!r} task {k!r}")
+            trig: {k: _as_table(v, f"{id} trigger {trig!r} table {k!r}")
                    for k, v in json_object(tab, f"{id} trigger {trig!r}").items()}
-            for trig, tab in json_object(prompt_triggers or {}, f"{id} prompt_triggers").items()
+            for trig, tab in triggers.items()
         }
-        self.two_stage = {k: _as_stages(v, k) for k, v in json_object(two_stage or {}, f"{id} two_stage").items()}
+        stages = json_object({} if two_stage is None else two_stage, f"{id} two_stage")
+        self.two_stage = {k: _as_stages(v, k) for k, v in stages.items()}
 
     def _table_for(self, task_id: str, prompt: str) -> AnswerTable:
         for trig in sorted(self.prompt_triggers):

@@ -11,7 +11,7 @@ from .augment import (
 from .dsl import GEOMETRY_OPS, MAX_OPS, DslProgram, Op, eval_dsl, parse_dsl, print_dsl
 from .programs import ExternalProgram, ProgramRunError, predict, run_program, verify_program
 from .prompts import STYLES, format_prompt
-from .task import ArcTask, LoadError, TaskFormatError, load_tasks, load_tasks_with_errors
+from .task import ArcTask, LoadError, load_tasks, load_tasks_with_errors
 
 __all__ = [
     "D4_ELEMENTS",
@@ -38,7 +38,6 @@ __all__ = [
     "format_prompt",
     "ArcTask",
     "LoadError",
-    "TaskFormatError",
     "load_tasks",
     "load_tasks_with_errors",
 ]

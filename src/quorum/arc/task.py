@@ -11,17 +11,14 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
-from ..errors import ConfigurationError, GridBoundsError
+from ..errors import ConfigurationError, GridBoundsError, json_object, list_of
 from ..grids import Grid
 
 log = logging.getLogger(__name__)
-
-
-class TaskFormatError(ConfigurationError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -32,36 +29,25 @@ class ArcTask:
 
     def __post_init__(self):
         if not self.train:
-            raise TaskFormatError(f"task {self.id!r} has no training pairs")
+            raise ConfigurationError(f"task {self.id!r} has no training pairs")
 
     @classmethod
     def from_dict(cls, data: dict, task_id: str) -> "ArcTask":
-        def grid(node, where):
+        def grid(node, what):
             try:
-                return Grid.from_rows(node)
-            except (GridBoundsError, TypeError) as exc:
-                raise TaskFormatError(f"task {task_id!r} {where}: {exc}") from exc
+                return Grid.from_rows(list_of(node, what, list_of))
+            except GridBoundsError as exc:
+                raise ConfigurationError(f"{what}: {exc}") from exc
 
-        def pairs(name):
-            entries = data.get(name, [])
-            if not isinstance(entries, list) or not all(isinstance(pair, dict) for pair in entries):
-                raise TaskFormatError(f"task {task_id!r}: {name!r} must be a list of objects")
-            return enumerate(entries)
+        def pair(entry, what, test=False):  # a test pair's output may be absent
+            output = json_object(entry, what, required=("input",) if test else ("input", "output")).get("output")
+            return (grid(entry["input"], f"{what}.input"),
+                    None if output is None and test else grid(output, f"{what}.output"))
 
-        if not isinstance(data, dict) or "train" not in data:
-            raise TaskFormatError(f"task {task_id!r}: expected an object with a 'train' array")
-        train = []
-        for i, pair in pairs("train"):
-            if "input" not in pair or "output" not in pair:
-                raise TaskFormatError(f"task {task_id!r} train[{i}]: needs input and output")
-            train.append((grid(pair["input"], f"train[{i}].input"), grid(pair["output"], f"train[{i}].output")))
-        test = []
-        for i, pair in pairs("test"):
-            if "input" not in pair:
-                raise TaskFormatError(f"task {task_id!r} test[{i}]: needs an input")
-            out = grid(pair["output"], f"test[{i}].output") if pair.get("output") is not None else None
-            test.append((grid(pair["input"], f"test[{i}].input"), out))
-        return cls(task_id, tuple(train), tuple(test))
+        where = f"task {task_id!r}"
+        json_object(data, where, required=("train",))
+        return cls(task_id, list_of(data["train"], f"{where} train", pair),
+                   list_of(data.get("test", []), f"{where} test", partial(pair, test=True)))
 
     def to_dict(self) -> dict:
         return {
@@ -79,7 +65,7 @@ def as_arc_task(task, task_id: Optional[str] = None) -> ArcTask:
     if isinstance(task, ArcTask):
         return task
     if not isinstance(task, dict):
-        raise TaskFormatError(f"a puzzle must be an object, got {task!r}")
+        raise ConfigurationError(f"a puzzle must be an object, got {task!r}")
     return ArcTask.from_dict(task, task_id or task.get("id", "task"))
 
 
@@ -108,7 +94,7 @@ def load_tasks_with_errors(path: str | Path) -> tuple[list[ArcTask], list[LoadEr
             with open(file) as fh:
                 data = json.load(fh)
             tasks.append(ArcTask.from_dict(data, task_id))
-        except (TaskFormatError, json.JSONDecodeError, OSError) as exc:
+        except (ConfigurationError, json.JSONDecodeError, OSError) as exc:
             errors.append(LoadError(task_id, str(exc)))
     return tasks, errors
 

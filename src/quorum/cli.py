@@ -32,12 +32,13 @@ from .arc.programs import ExternalProgram, predict, verify_program
 from .arc.task import load_tasks_with_errors
 from .core.model import Task
 from .core.runstore import CellRecord, RunRecord, RunStore
-from .errors import ConfigurationError, DslSyntaxError, IntractableError, QuorumError, json_object
+from .errors import (ConfigurationError, DslSyntaxError, IntractableError, QuorumError, integer, json_object,
+                     list_of, string)
 from .graph.execute import execute
-from .graph.model import GraphValidationError, PipelineGraph
+from .graph.model import PipelineGraph
 from .graph.ops import ExecutionContext
 from .graph.revise import ab_test, parse_proposal_line
-from .graph.mutate import MutationError, mutate
+from .graph.mutate import mutate
 from .methods import MethodConfig, run_method
 from .seeds import derive_seed
 
@@ -52,34 +53,28 @@ EXIT_INTERNAL = 3
 
 def _load_eval_config(path: str) -> dict:
     with open(path) as fh:
-        config = json_object(json.load(fh), "an eval config")
-    for key in ("solvers", "methods", "tasks"):
-        if key not in config:
-            raise ConfigurationError(f"eval config needs a {key!r} entry")
+        config = json_object(json.load(fh), "an eval config", required=("solvers", "methods", "tasks"))
     for key in ("solvers", "methods"):
-        if not isinstance(config[key], list) or not config[key]:
-            raise ConfigurationError(f"eval config {key!r} must be a non-empty list, got {config[key]!r}")
+        if not list_of(config[key], f"eval config {key!r}"):
+            raise ConfigurationError(f"eval config {key!r} must not be empty")
     for key in ("tasks", "out"):
-        if not isinstance(config.get(key, ""), str):
-            raise ConfigurationError(f"eval config {key!r} must be a path, got {config[key]!r}")
+        string(config.get(key, ""), f"eval config {key!r}")
+    integer(config.get("seed", 0), "eval config 'seed'")
     return config
 
 
-def _load_task_entries(path) -> list[dict]:
+def _load_task_entries(path) -> tuple[dict, ...]:
     """The entries of a tasks file, else a ConfigurationError: the file
     must hold a non-empty JSON list of objects, each with its own
     non-empty string ``id``."""
     with open(path) as fh:
-        entries = json.load(fh)
-    if not isinstance(entries, list):
-        raise ConfigurationError(f"{path} must hold a JSON list of tasks, got {entries!r}")
+        entries = list_of(json.load(fh), f"the tasks in {path}")
     if not entries:
         raise ConfigurationError(f"no tasks in {path}")
     ids = set()
     for entry in entries:
-        task_id = json_object(entry, f"a task in {path}").get("id")
-        if not isinstance(task_id, str) or not task_id:
-            raise ConfigurationError(f"{path}: a task id must be a non-empty string, got {task_id!r}")
+        task_id = string(json_object(entry, f"a task in {path}", required=("id",))["id"],
+                         f"{path}: a task id", nonempty=True)
         if task_id in ids:
             raise ConfigurationError(f"{path}: two tasks have the id {task_id!r}")
         ids.add(task_id)
@@ -89,8 +84,6 @@ def _load_task_entries(path) -> list[dict]:
 def cmd_eval(args) -> int:
     config = _load_eval_config(args.config)
     seed = args.seed if args.seed is not None else config.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigurationError(f"seed must be an integer, got {seed!r}")
     out_root = Path(args.out or config.get("out", "runs"))
 
     solvers = resolve_solvers(config["solvers"], cache_root=out_root / "cache")
@@ -273,7 +266,8 @@ def _graph_context(args) -> ExecutionContext:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             config = json_object(json.load(fh), "a graph config")
-        solvers = resolve_solvers(config.get("solvers", []), cache_root=Path(config.get("out", "runs")) / "cache")
+        solvers = resolve_solvers(config.get("solvers", []),
+                                  cache_root=Path(string(config.get("out", "runs"), "graph config 'out'")) / "cache")
     return ExecutionContext(solvers=solvers, seed=args.seed or 0)
 
 
@@ -384,8 +378,7 @@ def main(argv=None) -> int:
         if args.command == "graph":
             return cmd_graph(args)
         raise ConfigurationError(f"unknown command {args.command!r}")
-    except (ConfigurationError, GraphValidationError, DslSyntaxError, MutationError,
-            IntractableError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigurationError, DslSyntaxError, IntractableError, OSError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except QuorumError as exc:

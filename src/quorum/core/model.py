@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
 
-from ..errors import ConfigurationError, MalformedAnswerError, QuorumError, json_object
+from ..errors import ConfigurationError, MalformedAnswerError, QuorumError, json_object, string
 from .answers import ANSWER_KINDS, AnswerValue, normalize_answer
 
 # verifier kind -> bind(params, answer_kind, task_id) -> check
@@ -69,24 +69,20 @@ class Task:
         """Build a task from its JSON form (``id``, ``prompt``, ``answer_kind``,
         optional ``category``, ``reference``, ``verifier``); any mistake in
         it raises ConfigurationError."""
-        json_object(entry, "a task")
+        task_id = string(json_object(entry, "a task", required=("id",))["id"], "a task id", nonempty=True)
+        where = f"task {task_id!r}"
+        json_object(entry, where, required=("prompt", "answer_kind"))
+        prompt, category = (string(entry.get(key, ""), f"{where} {key}") for key in ("prompt", "category"))
+        verifier = entry.get("verifier")
+        if verifier is not None:
+            string(json_object(verifier, f"{where} verifier", required=("kind",))["kind"], f"{where} verifier kind")
+        kind, reference = entry["answer_kind"], entry.get("reference")
         try:
-            kind = entry["answer_kind"]
-            reference = entry.get("reference")
-            verifier = entry.get("verifier")
-            return cls(
-                id=entry["id"],
-                category=entry.get("category", ""),
-                prompt=entry["prompt"],
-                answer_kind=kind,
-                reference=None if reference is None else normalize_answer(reference, kind),
-                verifier=None if verifier is None else VerifierBinding(
-                    json_object(verifier, "its verifier")["kind"], verifier.get("params", {})),
-            )
-        except KeyError as exc:
-            raise ConfigurationError(f"task {entry.get('id')!r} needs a {exc.args[0]!r} entry") from exc
+            return cls(task_id, category, prompt, kind,
+                       None if reference is None else normalize_answer(reference, kind),
+                       None if verifier is None else VerifierBinding(verifier["kind"], verifier.get("params", {})))
         except (ValueError, QuorumError) as exc:
-            raise ConfigurationError(f"task {entry.get('id')!r}: {exc}") from exc
+            raise ConfigurationError(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ from __future__ import annotations
 from functools import partial
 
 from ..arc import programs  # the module: its functions are looked up when called
-from ..arc.task import TaskFormatError, as_arc_task
-from ..errors import ConfigurationError, QuorumError
+from ..arc.task import as_arc_task
+from ..errors import ConfigurationError, QuorumError, json_object
 from .answers import normalize_answer
 from .model import Candidate, Task, Verdict, check_reference, register_verifier
 
@@ -40,13 +40,8 @@ def _check_program(puzzle, candidate: Candidate) -> Verdict:
 def _bind_arc_program(params: dict, answer_kind: str, task_id: str):
     if answer_kind != "text":
         raise ConfigurationError(f"arc_program checks program text, not {answer_kind} answers")
-    if "task" not in params:
-        raise ConfigurationError("arc_program needs the puzzle as its 'task' parameter")
-    try:
-        puzzle = as_arc_task(params["task"], params.get("id", task_id))
-    except TaskFormatError as exc:
-        raise ConfigurationError(f"arc_program puzzle: {exc}") from exc
-    return partial(_check_program, puzzle)
+    json_object(params, "arc_program params", required=("task",))
+    return partial(_check_program, as_arc_task(params["task"], params.get("id", task_id)))
 
 
 def _bind_game_answer(params: dict, answer_kind: str, task_id: str):

@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the shape vocabulary
+of every loader: each helper returns its value (a list as a tuple), else
+raises a ConfigurationError naming ``what``."""
+
+import math
 
 
 class QuorumError(Exception):
@@ -13,11 +17,46 @@ class ConfigurationError(QuorumError):
     """Invalid solver/method/run configuration."""
 
 
-def json_object(value, what: str) -> dict:
-    """``value`` if it is a JSON object (a dict), else a ConfigurationError naming ``what``."""
+def json_object(value, what: str, required=(), keys=None) -> dict:
+    """A JSON object (a dict) holding every ``required`` key and, when
+    ``keys`` is given, no key outside ``required`` and ``keys``."""
     if not isinstance(value, dict):
         raise ConfigurationError(f"{what} must be a JSON object, got {value!r}")
+    for key in required:
+        if key not in value:
+            raise ConfigurationError(f"{what} needs a {key!r} entry")
+    unknown = [] if keys is None else sorted(set(value) - set(required) - set(keys))
+    if unknown:
+        raise ConfigurationError(f"{what} takes no {unknown[0]!r} entry")
     return value
+
+
+def string(value, what: str, nonempty: bool = False) -> str:
+    if not isinstance(value, str) or (nonempty and not value):
+        raise ConfigurationError(f"{what} must be a {'non-empty ' if nonempty else ''}string, got {value!r}")
+    return value
+
+
+def integer(value, what: str, floor=None) -> int:
+    """An int, never a bool, and at least ``floor`` when one is given."""
+    if isinstance(value, bool) or not isinstance(value, int) or (floor is not None and value < floor):
+        raise ConfigurationError(f"{what} must be an integer{'' if floor is None else f' >= {floor}'}, got {value!r}")
+    return value
+
+
+def number(value, what: str) -> float:
+    """A finite number >= 0 (an int or a float, never a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < math.inf:
+        raise ConfigurationError(f"{what} must be a finite number >= 0, got {value!r}")
+    return value
+
+
+def list_of(value, what: str, entry=None, size=None) -> tuple:
+    """A list or a tuple, of ``size`` entries when one is given, each
+    passed through ``entry(item, what)`` when one is given."""
+    if not isinstance(value, (list, tuple)) or (size is not None and len(value) != size):
+        raise ConfigurationError(f"{what} must be a list{'' if size is None else f' of {size}'}, got {value!r}")
+    return tuple(value) if entry is None else tuple([entry(item, f"{what}[{i}]") for i, item in enumerate(value)])
 
 
 class GridBoundsError(QuorumError):

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
-from ..errors import QuorumError
+from ..errors import ConfigurationError, json_object, list_of, string
 
 
-class GraphValidationError(QuorumError):
+class GraphValidationError(ConfigurationError):
     pass
 
 
@@ -55,8 +56,7 @@ class PipelineGraph:
         for node_id, node in self.nodes.items():
             if not node_id:
                 raise GraphValidationError("empty node id")
-            if not isinstance(node.params, dict):
-                raise GraphValidationError(f"node {node_id!r} params must be a JSON object, got {node.params!r}")
+            json_object(node.params, f"node {node_id!r} params")
             op_def(node.op)  # raises on unknown op
         fed: dict[tuple, str] = {}
         for edge in self.edges:
@@ -125,17 +125,24 @@ class PipelineGraph:
 
     @classmethod
     def from_json(cls, payload: dict) -> "PipelineGraph":
-        try:
-            return cls(
-                nodes={nid: NodeDef(n["op"], n.get("params", {})) for nid, n in payload["nodes"].items()},
-                edges=frozenset(Edge(*spec) for spec in payload.get("edges", [])),
-                inputs={k: tuple(tuple(b) for b in v) for k, v in payload.get("inputs", {}).items()},
-                outputs={k: tuple(v) for k, v in payload.get("outputs", {}).items()},
-                data={k: tuple(v) for k, v in payload.get("data", {}).items()},
-                name=payload.get("name", "pipeline"),
-            )
-        except (KeyError, TypeError, AttributeError) as exc:  # AttributeError: a list has no .items()
-            raise GraphValidationError(f"bad graph structure: {exc}") from exc
+        def node(nid, spec):
+            json_object(spec, f"node {nid!r}", required=("op",), keys=("params",))
+            return NodeDef(string(spec["op"], f"node {nid!r} op"),
+                           json_object(spec.get("params", {}), f"node {nid!r} params"))
+
+        pair = partial(list_of, entry=string, size=2)  # [node, port]
+        edge = partial(list_of, entry=string, size=4)  # [src, out_port, dst, in_port]
+        json_object(payload, "a graph", required=("nodes",))
+        nodes, inputs, outputs, data = (json_object(payload.get(key, {}), f"graph {key!r}")
+                                        for key in ("nodes", "inputs", "outputs", "data"))
+        return cls(
+            nodes={nid: node(nid, spec) for nid, spec in nodes.items()},
+            edges=frozenset(Edge(*spec) for spec in list_of(payload.get("edges", []), "graph 'edges'", edge)),
+            inputs={k: list_of(v, f"graph input {k!r}", pair) for k, v in inputs.items()},
+            outputs={k: pair(v, f"graph output {k!r}") for k, v in outputs.items()},
+            data={k: list_of(v, f"graph data {k!r}") for k, v in data.items()},
+            name=string(payload.get("name", "pipeline"), "graph 'name'"),
+        )
 
     @classmethod
     def load(cls, path: str | Path) -> "PipelineGraph":

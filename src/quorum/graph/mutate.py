@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import QuorumError
+from ..errors import ConfigurationError, integer, json_object, string
 from .model import Edge, GraphValidationError, NodeDef, PipelineGraph
 
 MUTATION_KINDS = (
@@ -24,7 +24,7 @@ MUTATION_KINDS = (
 )
 
 
-class MutationError(QuorumError):
+class MutationError(ConfigurationError):
     pass
 
 
@@ -42,12 +42,10 @@ _VALUE_KEYS = ("value", "item", "index")  # every other payload key names someth
 
 
 def _need(payload: dict, *keys):
-    missing = [k for k in keys if k not in payload]
-    if missing:
-        raise MutationError(f"payload missing {missing}")
+    json_object(payload, "a mutation payload", required=keys)
     for k in keys:
-        if k not in _VALUE_KEYS and not isinstance(payload[k], str):
-            raise MutationError(f"payload {k!r} must be a string, got {payload[k]!r}")
+        if k not in _VALUE_KEYS:
+            string(payload[k], f"payload {k!r}")
 
 
 def mutate(graph: PipelineGraph, mutation: Mutation) -> PipelineGraph:
@@ -98,8 +96,8 @@ def mutate(graph: PipelineGraph, mutation: Mutation) -> PipelineGraph:
         data[p["name"]] = data.get(p["name"], ()) + (p["item"],)
     elif kind == "remove_data":
         _need(p, "name", "index")
-        items, index = data.get(p["name"], ()), p["index"]
-        if isinstance(index, bool) or not isinstance(index, int) or not 0 <= index < len(items):
+        items, index = data.get(p["name"], ()), integer(p["index"], "payload 'index'")
+        if not 0 <= index < len(items):
             raise MutationError(f"data {p['name']!r} has no index {index!r}")
         data[p["name"]] = items[:index] + items[index + 1:]
 

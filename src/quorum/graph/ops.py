@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..errors import ConfigurationError, QuorumError
+from ..errors import ConfigurationError, QuorumError, string
 from ..seeds import derive_seed
 
 
@@ -91,7 +91,7 @@ def _puzzle_prompt(params, inputs, ctx, node_id):
 
 @register_op("solve_text", ("prompt",), ("text",))
 def _solve_text(params, inputs, ctx, node_id):
-    solver = ctx.solver(params["solver_id"])
+    solver = ctx.solver(string(params.get("solver_id"), f"node {node_id!r} solver_id"))
     seed = derive_seed(ctx.seed, node_id)
     return {"text": solver.solve(params.get("task_id", node_id), inputs["prompt"], seed)}
 
@@ -113,13 +113,9 @@ def _run_method(params, inputs, ctx, node_id):
     from ..core.model import Task
     from ..methods import MethodConfig, run_method
 
-    task = inputs["task"]
-    if not isinstance(task, Task):
-        task = Task.from_dict(task)
+    task = inputs["task"] if isinstance(inputs["task"], Task) else Task.from_dict(inputs["task"])
     entry = dict(params)
-    if "solver_id" not in entry:
-        raise ConfigurationError(f"run_method node {node_id!r} needs a 'solver_id'")
-    solver = ctx.solver(entry.pop("solver_id"))
+    solver = ctx.solver(string(entry.pop("solver_id", None), f"node {node_id!r} solver_id"))
     result, verdict = run_method(MethodConfig.from_dict(entry, ctx.solvers), solver, task,
                                  seed=derive_seed(ctx.seed, node_id))
     answer = result.candidate.answer

@@ -18,7 +18,7 @@ import logging
 from typing import Optional, Sequence
 
 from ..adapters.base import SolverError
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, json_object
 from ..seeds import derive_seed
 from .execute import execute
 from .model import PipelineGraph
@@ -42,16 +42,12 @@ def parse_proposal_line(line: str) -> Mutation:
     if len(parts) < 2:
         raise MutationError(f"expected 'KIND TARGET [payload]', got {line!r}")
     kind, target = parts[0], parts[1]
-    if kind not in MUTATION_KINDS:
-        raise MutationError(f"unknown mutation kind {kind!r}")
     payload = {}
     if len(parts) == 3 and parts[2].strip():
         try:
-            payload = json.loads(parts[2])
-        except json.JSONDecodeError as exc:
-            raise MutationError(f"bad payload JSON: {exc}")
-        if not isinstance(payload, dict):
-            raise MutationError("payload must be a JSON object")
+            payload = json_object(json.loads(parts[2]), "a mutation payload")
+        except ValueError as exc:  # not JSON, or an integer too long to convert
+            raise MutationError(f"bad payload JSON: {exc}") from exc
     if kind in _TARGET_KEY:
         payload.setdefault(_TARGET_KEY[kind], target)
     elif kind in ("add_edge", "remove_edge"):
@@ -93,7 +89,7 @@ def propose_revision(
         try:
             mutation = parse_proposal_line(line)
             mutate(graph, mutation)  # validation only; discard the result
-        except MutationError as exc:
+        except ConfigurationError as exc:
             log.warning("dropping proposal %r: %s", line, exc)
             continue
         mutations.append(mutation)

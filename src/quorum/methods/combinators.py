@@ -14,12 +14,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from string import Formatter
 from typing import Callable, Optional, Sequence
 
 from ..adapters.base import SolverError, sample, supports_two_stage
 from ..core.answers import AnswerValue, normalize_answer
 from ..core.model import Candidate, Task, Verdict
-from ..errors import ConfigurationError, MalformedAnswerError
+from ..errors import ConfigurationError, MalformedAnswerError, string
 from ..seeds import derive_seed
 
 VerifierFn = Callable[[Task, Candidate], Verdict]
@@ -339,6 +340,20 @@ def mcts_resample(
     return MethodResult(_aggregate_candidate(winner.answer, all_samples, solver.id, "mcts", seed), trace)
 
 
+def check_template(template, field: str, what: str) -> str:
+    """``template`` if it is a ``str.format`` template whose one field is
+    ``{field}``, with only a conversion and a format spec (no field nested
+    in it) that a string takes, else a ConfigurationError naming ``what``."""
+    try:
+        fields = [(name, spec) for _, name, spec, _ in Formatter().parse(string(template, what)) if name is not None]
+        if {name for name, _ in fields} == {field} and not any("{" in spec for _, spec in fields):
+            template.format(**{field: ""})
+            return template
+    except ValueError:  # unbalanced braces, or a conversion or spec a string does not take
+        pass
+    raise ConfigurationError(f"{what} must be a string whose one field is {{{field}}}, got {template!r}")
+
+
 def round_trip(
     solver,
     forward_prompt: str,
@@ -349,12 +364,12 @@ def round_trip(
 ) -> MethodResult:
     """Accept a candidate only if the reverse action restores the input.
 
-    ``forward_prompt`` must contain ``{input}``; ``backward_prompt`` must
-    contain ``{output}``.  The input counts as restored when the backward
-    output equals the task prompt as normalized text.
+    ``forward_prompt`` is a template of ``{input}`` alone, ``backward_prompt``
+    one of ``{output}`` alone.  The input counts as restored when the
+    backward output equals the task prompt as normalized text.
     """
-    if "{input}" not in forward_prompt or "{output}" not in backward_prompt:
-        raise ConfigurationError("forward prompt needs {input} and backward prompt needs {output}")
+    check_template(forward_prompt, "input", "rto forward_prompt")
+    check_template(backward_prompt, "output", "rto backward_prompt")
     trace = MethodTrace("rto")
     attempts, last = [], None
     for i in range(max(1, n)):

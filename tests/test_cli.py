@@ -230,6 +230,27 @@ class TestEval:
             lambda config, tasks: tasks[0].pop("id"),
             lambda config, tasks: config["solvers"].__setitem__(0, {"id": "s", "kind": "http-model", "params": {
                 "base_url": "http://127.0.0.1:9", "model": "m", "api_key_env": None, "temprature": 0.5}}),
+            lambda config, tasks: config["methods"][0].update(n=3),
+            lambda config, tasks: config["methods"][0].update(method_id="mixture_of_agents", n=3),
+            lambda config, tasks: config["methods"][0].update(
+                method_id="prover_verifier", n=3, params={"verifier_solver_id": "s"}),
+            lambda config, tasks: config["methods"][0].update(method_id="leap", n=3),
+            lambda config, tasks: config["methods"][0].update(method_id="best_of_n", rounds=2),
+            lambda config, tasks: config["methods"][0].update(method_id="best_of_n", weights=[1.0]),
+            lambda config, tasks: config["methods"][0].update(method_id="rto", params={"foward_prompt": "{input}"}),
+            lambda config, tasks: config["methods"][0].update(
+                method_id="rto", params={"forward_prompt": "Solve {input:{x}}"}),
+            lambda config, tasks: config["methods"][0].update(params={"extra_solver_ids": ["s"]}),
+            lambda config, tasks: config["methods"][0].update(method_id="mixture_of_agents", weights=[]),
+            lambda config, tasks: config["methods"][0].update(
+                method_id="prover_verifier", params={"verifier_solver_id": {"a": 1}}),
+            lambda config, tasks: config["methods"][0].update(method_id=["zero_shot"]),
+            lambda config, tasks: config["solvers"][0]["params"].update(table={"*": [["A", float("nan")]]}),
+            lambda config, tasks: config["solvers"][0]["params"].update(tabel={"*": [["A", 1.0]]}),
+            lambda config, tasks: tasks[0].update(prompt=True),
+            lambda config, tasks: tasks[0].update(category=5),
+            lambda config, tasks: tasks[0].update(verifier={"kind": ["game_answer"]}),
+            lambda config, tasks: config.update(seed=1.5),
         ],
         ids=["no-solvers", "no-methods", "duplicate-solver-id", "duplicate-task-id", "weights-as-number",
              "solver-params-as-list", "method-params-as-list", "unknown-method-key", "probability-as-text",
@@ -238,7 +259,13 @@ class TestEval:
              "tasks-path-as-number", "rng-seed-as-text", "leap-examples-as-number", "leap-example-not-a-pair",
              "rto-forward-prompt-as-number", "rto-forward-prompt-without-input",
              "rto-backward-prompt-with-another-field", "out-as-number", "solver-id-as-number",
-             "task-id-as-number", "task-without-id", "http-model-unknown-param"],
+             "task-id-as-number", "task-without-id", "http-model-unknown-param", "n-on-zero-shot",
+             "n-on-mixture-of-agents", "n-on-prover-verifier", "n-on-leap", "rounds-off-prover-verifier",
+             "weights-off-mixture-of-agents", "misspelt-rto-param", "rto-field-nested-in-a-spec",
+             "extra-solvers-off-mixture-of-agents",
+             "empty-weights", "judge-id-as-object", "method-id-as-list", "nan-probability",
+             "misspelt-scripted-param", "prompt-not-a-string", "category-not-a-string", "verifier-kind-as-list",
+             "seed-as-float"],
     )
     def test_config_shape_mistakes_are_exit_2_before_any_cell(self, tmp_path, capsys, monkeypatch, edit):
         import quorum.cli
@@ -273,6 +300,22 @@ class TestEval:
         assert main(["eval", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "r")]) == 0
         out = capsys.readouterr().out
         assert "best_of_n#1@s" in out and "best_of_n#2@s" in out
+
+    def test_rto_template_with_a_conversion_runs(self, tmp_path, capsys):
+        # The config check and the rto cell apply one template rule, so a
+        # template the config accepts never stops the sweep inside a cell.
+        tasks = [{"id": "t", "category": "", "prompt": "?", "answer_kind": "choice", "reference": "A"}]
+        (tmp_path / "tasks.json").write_text(json.dumps(tasks))
+        config = {
+            "solvers": [{"id": "s", "kind": "scripted", "params": {"table": {"*": [["A", 1.0]]}}}],
+            "methods": [{"method_id": "zero_shot"},
+                        {"method_id": "rto", "params": {"forward_prompt": "Solve {input!r}",
+                                                        "backward_prompt": "Restate {output:>3}"}}],
+            "tasks": str(tmp_path / "tasks.json"),
+        }
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        assert main(["eval", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "r")]) == 0
+        assert "rto@s" in capsys.readouterr().out
 
 
 GOLDEN_TASKS = [
@@ -596,8 +639,12 @@ class TestGraphCli:
             {"method_id": "mixture_of_agents", "solver_id": "s", "extra_solver_ids": ["s"]},
             {"solver_id": "s"},
             {"method_id": "best_of_n"},
+            {"method_id": "zero_shot", "solver_id": "s", "n": 3},
+            {"method_id": "best_of_n", "solver_id": ["s"]},
+            {"method_id": "rto", "solver_id": "s", "params": {"foward_prompt": "{input}"}},
         ],
-        ids=["method-params", "use-verifier", "node-level-extra-solvers", "no-method-id", "no-solver-id"],
+        ids=["method-params", "use-verifier", "node-level-extra-solvers", "no-method-id", "no-solver-id",
+             "n-on-zero-shot", "solver-id-as-list", "misspelt-rto-param"],
     )
     def test_run_method_node_with_other_params_is_exit_2(self, tmp_path, capsys, params):
         config = tmp_path / "solvers.json"
@@ -633,7 +680,7 @@ class TestGraphCli:
 
     @pytest.mark.parametrize("template,task,message", [
         ("puzzle_pipeline", 5, "a puzzle must be an object, got 5"),
-        ("puzzle_pipeline", {"train": 1}, "'train' must be a list of objects"),
+        ("puzzle_pipeline", {"train": 1}, "train must be a list, got 1"),
         ("olympiad_pipeline", 5, "a task must be a JSON object, got 5"),
     ], ids=["puzzle-not-an-object", "puzzle-train-not-a-list", "task-not-an-object"])
     def test_graph_task_input_that_is_not_a_task_is_exit_2(self, tmp_path, capsys, template, task, message):
@@ -670,7 +717,17 @@ class TestGraphCli:
     @pytest.mark.parametrize("edit", [
         lambda graph: graph.update(nodes=[]),
         lambda graph: graph["nodes"]["prompt"].update(params=5),
-    ], ids=["nodes-not-an-object", "params-not-an-object"])
+        lambda graph: graph["outputs"].update(passed=""),
+        lambda graph: graph["outputs"].update(passed=["check"]),
+        lambda graph: graph["inputs"]["task"].__setitem__(1, "x"),
+        lambda graph: graph["edges"].__setitem__(0, ["prompt", "prompt", "synthesize"]),
+        lambda graph: graph["edges"][0].__setitem__(3, ["prompt"]),
+        lambda graph: graph["nodes"]["check"].update(op=["puzzle_verify"]),
+        lambda graph: graph["nodes"]["check"].update(parmas={}),
+        lambda graph: graph.update(name=5),
+    ], ids=["nodes-not-an-object", "params-not-an-object", "output-as-empty-string", "output-not-a-pair",
+            "input-binding-not-a-pair", "edge-of-three", "edge-port-as-list", "op-as-list", "misspelt-node-key",
+            "name-as-number"])
     def test_malformed_graph_file_is_exit_2(self, tmp_path, capsys, edit):
         graph = json.loads(self._template_path(tmp_path).read_text())
         edit(graph)
@@ -690,8 +747,9 @@ class TestGraphCli:
         'add_node x {"op": ["const"]}',
         'add_data x {"name": [1], "item": 1}',
         'remove_node x {"node": {"a": 1}}',
+        'remove_data examples {"index": 1' + "0" * 5000 + '}',
     ], ids=["add-node-params-not-an-object", "remove-data-index-not-an-integer", "node-not-a-string",
-            "key-not-a-string", "op-not-a-string", "name-not-a-string", "node-an-object"])
+            "key-not-a-string", "op-not-a-string", "name-not-a-string", "node-an-object", "index-too-long"])
     def test_malformed_mutation_is_exit_2(self, tmp_path, capsys, mutation):
         graph_file = self._template_path(tmp_path)
         before = graph_file.read_text()

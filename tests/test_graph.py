@@ -252,6 +252,16 @@ class TestProposeRevision:
         assert proposals == [Mutation("edit_param", {"key": "x", "value": [1], "node": "right"})]
         assert sum("must be a string" in r.message for r in caplog.records) == 5
 
+    def test_payload_failing_a_shape_check_dropped_with_warning(self, caplog):
+        graph = _diamond_graph()
+        judge = self._judge('remove_data examples {"index": "0"}\n'
+                            'remove_data examples {"index": 1' + "0" * 5000 + '}\n'
+                            'edit_param right {"key": "x", "value": 1}')
+        with caplog.at_level(logging.WARNING):
+            proposals = propose_revision(graph, {"entries": []}, {}, judge)
+        assert proposals == [Mutation("edit_param", {"key": "x", "value": 1, "node": "right"})]
+        assert sum("dropping proposal" in r.message for r in caplog.records) == 2
+
     def test_free_text_dropped(self, caplog):
         graph = _diamond_graph()
         judge = self._judge("maybe try increasing the sample count?")
