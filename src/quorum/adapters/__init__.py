@@ -1,4 +1,6 @@
-from ..errors import ConfigurationError, json_object, list_of, string
+from functools import partial
+
+from ..errors import ConfigurationError, integer, json_object, list_of, number, string
 from .base import Solver, SolverError, sample, supports_two_stage
 from .chat import (
     ChatAuthError,
@@ -29,13 +31,20 @@ __all__ = [
 ]
 
 
-# The params each solver kind takes; a ChatClient setting left out keeps
-# the default in the client's own signature.
-_PARAMS = {
-    "scripted": ("table", "rng_seed", "prompt_triggers", "two_stage"),
-    "http-model": ("base_url", "model", "cache_dir", "api_key_env", "temperature", "max_tokens", "timeout_s",
-                   "max_retries", "max_in_flight"),
+def _null_or(check):
+    return lambda value, what: None if value is None else check(value, what)
+
+
+# Each http-model param with its shape check; a ChatClient setting left
+# out keeps the default in the client's own signature.
+_CHAT_PARAMS = {
+    "base_url": string, "model": string, "cache_dir": string, "api_key_env": _null_or(string),
+    "temperature": number, "max_tokens": _null_or(partial(integer, floor=1)),
+    "timeout_s": partial(number, positive=True), "max_retries": partial(integer, floor=0),
+    "max_in_flight": partial(integer, floor=1),
 }
+# The params each solver kind takes.
+_PARAMS = {"scripted": ("table", "rng_seed", "prompt_triggers", "two_stage"), "http-model": _CHAT_PARAMS}
 
 
 def resolve_solvers(entries, cache_root) -> dict:
@@ -56,7 +65,7 @@ def resolve_solvers(entries, cache_root) -> dict:
         if kind == "scripted":
             solvers[sid] = ScriptedSolver(sid, **{"table": {}, **params})
         else:
-            for key in ("base_url", "model"):
-                string(params.get(key), f"http-model solver {sid!r} {key!r} param")
+            for key in ("base_url", "model", *params):  # the first two are required
+                _CHAT_PARAMS[key](params.get(key), f"http-model solver {sid!r} {key!r} param")
             solvers[sid] = ChatSolver(sid, ChatClient(**{"cache_dir": cache_root, **params}))
     return solvers

@@ -119,8 +119,8 @@ class ChatClient:
             return entry["response"]["choices"][0]["message"]["content"]
         except FileNotFoundError:
             return None
-        except (json.JSONDecodeError, KeyError, IndexError, TypeError):
-            return None  # corrupt cache entries count as misses
+        except (ValueError, RecursionError, KeyError, IndexError, TypeError):
+            return None  # corrupt cache entries count as misses: not UTF-8 JSON, too long an int or too deep
 
     def _cache_write(self, key: str, request: dict, response: dict):
         fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")

@@ -11,7 +11,7 @@ from .augment import (
 from .dsl import GEOMETRY_OPS, MAX_OPS, DslProgram, Op, eval_dsl, parse_dsl, print_dsl
 from .programs import ExternalProgram, ProgramRunError, predict, run_program, verify_program
 from .prompts import STYLES, format_prompt
-from .task import ArcTask, LoadError, load_tasks, load_tasks_with_errors
+from .task import ArcTask
 
 __all__ = [
     "D4_ELEMENTS",
@@ -37,7 +37,4 @@ __all__ = [
     "STYLES",
     "format_prompt",
     "ArcTask",
-    "LoadError",
-    "load_tasks",
-    "load_tasks_with_errors",
 ]

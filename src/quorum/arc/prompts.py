@@ -6,6 +6,7 @@ blocks, then the test input(s).  Output is bit-stable across runs.
 
 from __future__ import annotations
 
+from ..errors import ConfigurationError
 from .task import ArcTask
 
 STYLES = ("labeled", "compact")
@@ -13,7 +14,7 @@ STYLES = ("labeled", "compact")
 
 def format_prompt(task: ArcTask, style: str = "labeled") -> str:
     if style not in STYLES:
-        raise ValueError(f"unknown style {style!r}; expected one of {STYLES}")
+        raise ConfigurationError(f"unknown style {style!r}; expected one of {STYLES}")
     blocks = []
     for i, (inp, out) in enumerate(task.train, 1):
         if style == "labeled":

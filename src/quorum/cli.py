@@ -29,11 +29,11 @@ from .aggregate import coverage_curve, render_matrix, success_rate
 from .arc.augment import augment, leave_one_out
 from .arc.dsl import parse_dsl
 from .arc.programs import ExternalProgram, predict, verify_program
-from .arc.task import load_tasks_with_errors
+from .arc.task import ArcTask
 from .core.model import Task
 from .core.runstore import CellRecord, RunRecord, RunStore
 from .errors import (ConfigurationError, DslSyntaxError, IntractableError, QuorumError, integer, json_object,
-                     list_of, string)
+                     list_of, parse_json, read_json, string)
 from .graph.execute import execute
 from .graph.model import PipelineGraph
 from .graph.ops import ExecutionContext
@@ -52,8 +52,7 @@ EXIT_INTERNAL = 3
 
 
 def _load_eval_config(path: str) -> dict:
-    with open(path) as fh:
-        config = json_object(json.load(fh), "an eval config", required=("solvers", "methods", "tasks"))
+    config = json_object(read_json(path, "the eval config"), "an eval config", required=("solvers", "methods", "tasks"))
     for key in ("solvers", "methods"):
         if not list_of(config[key], f"eval config {key!r}"):
             raise ConfigurationError(f"eval config {key!r} must not be empty")
@@ -67,8 +66,7 @@ def _load_task_entries(path) -> tuple[dict, ...]:
     """The entries of a tasks file, else a ConfigurationError: the file
     must hold a non-empty JSON list of objects, each with its own
     non-empty string ``id``."""
-    with open(path) as fh:
-        entries = list_of(json.load(fh), f"the tasks in {path}")
+    entries = list_of(read_json(path, "the tasks file"), f"the tasks in {path}")
     if not entries:
         raise ConfigurationError(f"no tasks in {path}")
     ids = set()
@@ -149,15 +147,6 @@ def cmd_eval(args) -> int:
 # -- arc --------------------------------------------------------------------
 
 
-def _load_single_task(path: str):
-    tasks, errors = load_tasks_with_errors(path)
-    if errors:
-        raise ConfigurationError("; ".join(f"{e.task_id}: {e.reason}" for e in errors))
-    if len(tasks) != 1:
-        raise ConfigurationError(f"{path}: expected exactly one task, found {len(tasks)}")
-    return tasks[0]
-
-
 def _parse_program(args):
     if getattr(args, "external", None):
         return ExternalProgram(tuple(args.external), timeout_ms=args.timeout_ms)
@@ -168,7 +157,7 @@ def _parse_program(args):
 
 def cmd_arc(args) -> int:
     if args.arc_command == "verify":
-        task = _load_single_task(args.task)
+        task = ArcTask.load(args.task)
         verdict = verify_program(_parse_program(args), task)
         for check in verdict.checks:
             print(f"{check.name}: {'pass' if check.passed else 'fail'} ({check.detail})")
@@ -181,7 +170,7 @@ def cmd_arc(args) -> int:
         return EXIT_OK if verdict.is_pass else EXIT_VERIFY_FAILED
 
     if args.arc_command == "predict":
-        task = _load_single_task(args.task)
+        task = ArcTask.load(args.task)
         grids = predict(_parse_program(args), task, unsafe=args.unsafe)
         for i, grid in enumerate(grids):
             if i:
@@ -194,7 +183,7 @@ def cmd_arc(args) -> int:
         return EXIT_OK
 
     if args.arc_command in ("augment", "loo"):
-        task = _load_single_task(args.task)
+        task = ArcTask.load(args.task)
         if args.arc_command == "augment":
             variants, what = augment(task), "variant(s)"
         else:
@@ -264,8 +253,7 @@ def cmd_game(args) -> int:
 def _graph_context(args) -> ExecutionContext:
     solvers = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            config = json_object(json.load(fh), "a graph config")
+        config = json_object(read_json(args.config, "the graph config"), "a graph config")
         solvers = resolve_solvers(config.get("solvers", []),
                                   cache_root=Path(string(config.get("out", "runs"), "graph config 'out'")) / "cache")
     return ExecutionContext(solvers=solvers, seed=args.seed or 0)
@@ -274,10 +262,9 @@ def _graph_context(args) -> ExecutionContext:
 def cmd_graph(args) -> int:
     if args.graph_command == "run":
         graph = PipelineGraph.load(args.graph)
-        inputs = json_object(json.loads(args.inputs), "graph --inputs") if args.inputs else {}
+        inputs = json_object(parse_json(args.inputs, "graph --inputs"), "graph --inputs") if args.inputs else {}
         if args.task:
-            task = _load_single_task(args.task)
-            inputs.setdefault("task", task)
+            inputs.setdefault("task", ArcTask.load(args.task))
         outputs, trace = execute(graph, inputs, _graph_context(args))
         text = json.dumps({"outputs": outputs, "trace": trace.to_json()}, indent=2, sort_keys=True, default=repr)
         print(text)
@@ -378,7 +365,7 @@ def main(argv=None) -> int:
         if args.command == "graph":
             return cmd_graph(args)
         raise ConfigurationError(f"unknown command {args.command!r}")
-    except (ConfigurationError, DslSyntaxError, IntractableError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigurationError, DslSyntaxError, IntractableError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except QuorumError as exc:

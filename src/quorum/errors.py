@@ -1,7 +1,9 @@
-"""Exception hierarchy shared across the package, and the shape vocabulary
-of every loader: each helper returns its value (a list as a tuple), else
-raises a ConfigurationError naming ``what``."""
+"""Exception hierarchy shared across the package, the one reader of every
+outside JSON document, and the shape vocabulary of every loader: each
+helper returns its value (a list as a tuple), else raises a
+ConfigurationError naming ``what``."""
 
+import json
 import math
 
 
@@ -15,6 +17,21 @@ class MalformedAnswerError(QuorumError):
 
 class ConfigurationError(QuorumError):
     """Invalid solver/method/run configuration."""
+
+
+def parse_json(text, what: str):
+    """The document ``text`` (a str, or bytes in UTF-8, -16 or -32) holds."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # not JSON or not UTF-8, an int too long to convert, too deep
+        raise ConfigurationError(f"{what} cannot be read as JSON: {exc}") from exc
+
+
+def read_json(path, what: str):
+    """The document in the file at ``path``; a path that cannot be read
+    raises OSError."""
+    with open(path, "rb") as fh:
+        return parse_json(fh.read(), f"{what} {path}")
 
 
 def json_object(value, what: str, required=(), keys=None) -> dict:
@@ -44,10 +61,12 @@ def integer(value, what: str, floor=None) -> int:
     return value
 
 
-def number(value, what: str) -> float:
-    """A finite number >= 0 (an int or a float, never a bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < math.inf:
-        raise ConfigurationError(f"{what} must be a finite number >= 0, got {value!r}")
+def number(value, what: str, positive: bool = False) -> float:
+    """A finite number >= 0, or > 0 when ``positive`` (an int or a float,
+    never a bool)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < math.inf
+            or (positive and not value)):
+        raise ConfigurationError(f"{what} must be a finite number {'> 0' if positive else '>= 0'}, got {value!r}")
     return value
 
 

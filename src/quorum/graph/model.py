@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
-from ..errors import ConfigurationError, json_object, list_of, string
+from ..errors import ConfigurationError, json_object, list_of, read_json, string
 
 
 class GraphValidationError(ConfigurationError):
@@ -146,12 +146,7 @@ class PipelineGraph:
 
     @classmethod
     def load(cls, path: str | Path) -> "PipelineGraph":
-        with open(path) as fh:
-            try:
-                payload = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise GraphValidationError(f"{path}: {exc}") from exc
-        return cls.from_json(payload)
+        return cls.from_json(read_json(path, "the graph file"))
 
     def save(self, path: str | Path):
         with open(path, "w") as fh:

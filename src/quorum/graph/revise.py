@@ -18,7 +18,7 @@ import logging
 from typing import Optional, Sequence
 
 from ..adapters.base import SolverError
-from ..errors import ConfigurationError, json_object
+from ..errors import ConfigurationError, json_object, parse_json
 from ..seeds import derive_seed
 from .execute import execute
 from .model import PipelineGraph
@@ -44,10 +44,7 @@ def parse_proposal_line(line: str) -> Mutation:
     kind, target = parts[0], parts[1]
     payload = {}
     if len(parts) == 3 and parts[2].strip():
-        try:
-            payload = json_object(json.loads(parts[2]), "a mutation payload")
-        except ValueError as exc:  # not JSON, or an integer too long to convert
-            raise MutationError(f"bad payload JSON: {exc}") from exc
+        payload = json_object(parse_json(parts[2], "a mutation payload"), "a mutation payload")
     if kind in _TARGET_KEY:
         payload.setdefault(_TARGET_KEY[kind], target)
     elif kind in ("add_edge", "remove_edge"):

@@ -192,9 +192,11 @@ class TestChatClient:
         client = _client(base_url, tmp_path)
         client.complete("hello", seed=1)
         key = client.cache_key("hello", 1)
-        (tmp_path / "cache" / f"{key}.json").write_text("{not json")
-        assert client.complete("hello", seed=1) == "echo: hello"
-        assert len(handler.requests_seen) == 2
+        # not JSON, not UTF-8, an integer too long to convert, nested too deep
+        for corrupt in (b"{not json", b'{"response": "\xff"}', b"1" + b"0" * 5000, b"[" * 100_000):
+            (tmp_path / "cache" / f"{key}.json").write_bytes(corrupt)
+            assert client.complete("hello", seed=1) == "echo: hello"
+        assert len(handler.requests_seen) == 5
 
     def test_missing_secret_before_network(self, tmp_path, monkeypatch):
         monkeypatch.delenv("TEST_SECRET", raising=False)

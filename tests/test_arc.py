@@ -23,15 +23,13 @@ from quorum.arc import (
     format_prompt,
     group_inverse,
     leave_one_out,
-    load_tasks,
-    load_tasks_with_errors,
     parse_dsl,
     predict,
     print_dsl,
     run_program,
     verify_program,
 )
-from quorum.errors import DslSyntaxError, GridBoundsError
+from quorum.errors import ConfigurationError, DslSyntaxError, GridBoundsError
 
 
 def grids(max_side=6):
@@ -355,36 +353,24 @@ class TestLoadTasks:
     def test_valid_file(self, tmp_path):
         payload = {"train": [{"input": [[1]], "output": [[2]]}], "test": []}
         (tmp_path / "a.json").write_text(json.dumps(payload))
-        tasks = load_tasks(tmp_path / "a.json")
-        assert len(tasks) == 1 and tasks[0].train[0][1] == Grid.from_rows([[2]])
+        task = ArcTask.load(tmp_path / "a.json")
+        assert task.id == "a" and task.train[0][1] == Grid.from_rows([[2]])
 
     def test_ragged_grid_reported(self, tmp_path):
         payload = {"train": [{"input": [[1, 2], [3]], "output": [[1]]}], "test": []}
         (tmp_path / "bad.json").write_text(json.dumps(payload))
-        tasks, errors = load_tasks_with_errors(tmp_path / "bad.json")
-        assert tasks == []
-        assert len(errors) == 1 and "ragged" in errors[0].reason
-
-    def test_directory_mixes_good_and_bad(self, tmp_path):
-        good = {"train": [{"input": [[1]], "output": [[1]]}], "test": [{"input": [[2]]}]}
-        (tmp_path / "good.json").write_text(json.dumps(good))
-        (tmp_path / "bad.json").write_text("{broken")
-        (tmp_path / "worse.json").write_text(json.dumps({"train": [{"input": [[12]], "output": [[1]]}]}))
-        tasks, errors = load_tasks_with_errors(tmp_path)
-        assert [t.id for t in tasks] == ["good"]
-        assert sorted(e.task_id for e in errors) == ["bad", "worse"]
+        with pytest.raises(ConfigurationError, match="ragged"):
+            ArcTask.load(tmp_path / "bad.json")
 
     def test_out_of_range_color_rejected(self, tmp_path):
         payload = {"train": [{"input": [[1]], "output": [[10]]}], "test": []}
         (tmp_path / "color.json").write_text(json.dumps(payload))
-        _, errors = load_tasks_with_errors(tmp_path / "color.json")
-        assert errors and "color" in errors[0].reason
+        with pytest.raises(ConfigurationError, match="color"):
+            ArcTask.load(tmp_path / "color.json")
 
-    def test_evaluation_scale_directory(self, tmp_path):
-        # A full evaluation set is 400 task files; all of them load.
-        payload = {"train": [{"input": [[1]], "output": [[2]]}], "test": [{"input": [[3]]}]}
-        blob = json.dumps(payload)
-        for i in range(400):
-            (tmp_path / f"{i:08x}.json").write_text(blob)
-        tasks = load_tasks(tmp_path)
-        assert len(tasks) == 400
+    @pytest.mark.parametrize("content", [b"{broken", b"\xff", b"[[" + b"1" * 5001 + b"]]", b"[" * 100_000],
+                             ids=["not-json", "not-utf-8", "integer-too-long", "nested-too-deep"])
+    def test_unreadable_document_names_the_file(self, tmp_path, content):
+        (tmp_path / "p.json").write_bytes(content)
+        with pytest.raises(ConfigurationError, match="p.json cannot be read as JSON"):
+            ArcTask.load(tmp_path / "p.json")

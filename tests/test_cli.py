@@ -251,6 +251,12 @@ class TestEval:
             lambda config, tasks: tasks[0].update(category=5),
             lambda config, tasks: tasks[0].update(verifier={"kind": ["game_answer"]}),
             lambda config, tasks: config.update(seed=1.5),
+            *(lambda config, tasks, setting=setting: config["solvers"].__setitem__(0, {
+                "id": "s", "kind": "http-model",
+                "params": {"base_url": "http://127.0.0.1:9", "model": "m", "api_key_env": None, **setting}})
+              for setting in ({"max_in_flight": -1}, {"max_in_flight": 0}, {"cache_dir": 5}, {"max_retries": "3"},
+                              {"max_retries": -1}, {"timeout_s": "x"}, {"timeout_s": 0}, {"api_key_env": 5},
+                              {"temperature": "hot"}, {"max_tokens": 0})),
         ],
         ids=["no-solvers", "no-methods", "duplicate-solver-id", "duplicate-task-id", "weights-as-number",
              "solver-params-as-list", "method-params-as-list", "unknown-method-key", "probability-as-text",
@@ -265,7 +271,9 @@ class TestEval:
              "extra-solvers-off-mixture-of-agents",
              "empty-weights", "judge-id-as-object", "method-id-as-list", "nan-probability",
              "misspelt-scripted-param", "prompt-not-a-string", "category-not-a-string", "verifier-kind-as-list",
-             "seed-as-float"],
+             "seed-as-float", "http-max-in-flight-negative", "http-max-in-flight-zero", "http-cache-dir-as-number",
+             "http-max-retries-as-text", "http-max-retries-negative", "http-timeout-as-text", "http-timeout-zero",
+             "http-api-key-env-as-number", "http-temperature-as-text", "http-max-tokens-zero"],
     )
     def test_config_shape_mistakes_are_exit_2_before_any_cell(self, tmp_path, capsys, monkeypatch, edit):
         import quorum.cli
@@ -725,9 +733,10 @@ class TestGraphCli:
         lambda graph: graph["nodes"]["check"].update(op=["puzzle_verify"]),
         lambda graph: graph["nodes"]["check"].update(parmas={}),
         lambda graph: graph.update(name=5),
+        lambda graph: graph["nodes"]["prompt"]["params"].update(style="x"),
     ], ids=["nodes-not-an-object", "params-not-an-object", "output-as-empty-string", "output-not-a-pair",
             "input-binding-not-a-pair", "edge-of-three", "edge-port-as-list", "op-as-list", "misspelt-node-key",
-            "name-as-number"])
+            "name-as-number", "unknown-prompt-style"])
     def test_malformed_graph_file_is_exit_2(self, tmp_path, capsys, edit):
         graph = json.loads(self._template_path(tmp_path).read_text())
         edit(graph)
@@ -808,7 +817,7 @@ class TestGraphCli:
 
 @pytest.mark.parametrize("case", [
     "eval-config-is-a-directory", "eval-tasks-is-a-directory", "eval-out-is-a-file",
-    "graph-is-a-directory", "graph-config-is-a-directory", "predict-out-is-a-directory",
+    "graph-is-a-directory", "graph-config-is-a-directory", "predict-out-is-a-directory", "puzzle-is-a-directory",
 ])
 def test_path_that_cannot_be_read_or_written_is_exit_2(tmp_path, capsys, eval_setup, case):
     from quorum.fixtures import graph_template
@@ -818,6 +827,7 @@ def test_path_that_cannot_be_read_or_written_is_exit_2(tmp_path, capsys, eval_se
     directory.mkdir()
     task_file = tmp_path / "rot.json"
     task_file.write_text(json.dumps(ROT180_TASK))
+    (directory / "rot.json").write_text(json.dumps(ROT180_TASK))  # a directory of puzzles is still not a puzzle
     graph = tmp_path / "olympiad.json"
     graph_template("olympiad_pipeline").save(graph)
     if case == "eval-tasks-is-a-directory":
@@ -830,9 +840,43 @@ def test_path_that_cannot_be_read_or_written_is_exit_2(tmp_path, capsys, eval_se
         "graph-config-is-a-directory": ["graph", "run", "--graph", str(graph), "--config", str(directory)],
         "predict-out-is-a-directory": ["arc", "predict", "--task", str(task_file), "--program", "rotate180",
                                        "--out", str(directory)],
+        "puzzle-is-a-directory": ["arc", "verify", "--task", str(directory), "--program", "rotate180"],
     }[case]
     assert main(argv) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault", [b"1" + b"0" * 5000, b"\xff", b"[" * 100_000],
+                         ids=["integer-too-long", "byte-0xff", "nested-too-deep"])
+@pytest.mark.parametrize("where", [
+    "eval-config", "eval-tasks", "arc-puzzle", "graph-file", "graph-config", "graph-inputs", "abtest-tasks",
+    "mutation-payload",
+])
+def test_input_that_is_not_utf8_json_is_exit_2(tmp_path, capsys, eval_setup, fault, where):
+    from quorum.fixtures import graph_template
+
+    config_file, _ = eval_setup
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(fault)
+    text = os.fsdecode(fault)  # what a command-line argument holding these bytes decodes to
+    if where == "eval-tasks":
+        config_file.write_text(json.dumps({**json.loads(config_file.read_text()), "tasks": str(bad)}))
+    task_file = tmp_path / "rot.json"
+    task_file.write_text(json.dumps(ROT180_TASK))
+    graph = tmp_path / "pipeline.json"
+    graph_template("puzzle_pipeline").save(graph)
+    argv = {
+        "eval-config": ["eval", "--config", str(bad)],
+        "eval-tasks": ["eval", "--config", str(config_file), "--out", str(tmp_path / "r")],
+        "arc-puzzle": ["arc", "verify", "--task", str(bad), "--program", "identity"],
+        "graph-file": ["graph", "run", "--graph", str(bad), "--task", str(task_file)],
+        "graph-config": ["graph", "run", "--graph", str(graph), "--task", str(task_file), "--config", str(bad)],
+        "graph-inputs": ["graph", "run", "--graph", str(graph), "--inputs", text],
+        "abtest-tasks": ["graph", "abtest", "--graphs", str(graph), str(graph), "--tasks", str(bad)],
+        "mutation-payload": ["graph", "mutate", "--graph", str(graph), "--mutation", f"edit_param synthesize {text}"],
+    }[where]
+    assert main(argv) == 2
+    assert "cannot be read as JSON" in capsys.readouterr().err
 
 
 def test_console_script_installed(tmp_path):
