@@ -18,8 +18,13 @@ def register_verifier(kind: str, bind: Callable) -> None:
     built.  It raises ConfigurationError for a binding the verifier cannot
     run, and returns the task's ``check(candidate) -> Verdict`` with all
     task-only work already done, any setting it needs (a time bound, say)
-    read from ``params``.  The check is shared between threads, so it
-    holds only immutable state."""
+    read from ``params``.
+
+    The check must depend only on ``candidate.answer``: the task calls it
+    at most once per distinct answer and hands every later candidate with
+    that answer the stored verdict.  The check is shared between threads,
+    so it holds only immutable state; the task's memo of verdicts is the
+    one piece of mutable state those threads share."""
     _VERIFIERS[kind] = bind
 
 
@@ -42,8 +47,9 @@ class Task:
     answer_kind: str
     reference: Optional[AnswerValue] = None
     verifier: Optional[VerifierBinding] = None
-    # check(candidate) -> Verdict, bound from the verifier, else
-    # from the reference; None for an unverifiable task
+    # check(candidate) -> Verdict, bound from the verifier, else from
+    # the reference, and run once per distinct answer; None for an
+    # unverifiable task
     check: Optional[Callable] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -62,6 +68,8 @@ class Task:
             check = _VERIFIERS[self.verifier.kind](self.verifier.params, self.answer_kind, self.id)
         elif self.reference is not None:
             check = partial(check_reference, self.reference)
+        if check is not None:
+            check = partial(_once_per_answer, check, {})
         object.__setattr__(self, "check", check)
 
     @classmethod
@@ -176,3 +184,13 @@ def check_reference(reference: AnswerValue, candidate: Candidate) -> Verdict:
         f"expected {reference.canonical_text()!r}, got {got.canonical_text()!r}",
     )
     return Verdict.passed([check]) if ok else Verdict.failed([check])
+
+
+def _once_per_answer(check: Callable, verdicts: dict, candidate: Candidate) -> Verdict:
+    """``check(candidate)``, run once per distinct ``candidate.answer``;
+    ``verdicts`` holds the verdict of each answer seen.  Two threads that
+    race on a new answer both run the check and store equal verdicts."""
+    verdict = verdicts.get(candidate.answer)
+    if verdict is None:
+        verdict = verdicts[candidate.answer] = check(candidate)
+    return verdict

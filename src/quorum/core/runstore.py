@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from ..errors import RecordParseError
+from ..errors import ConfigurationError, QuorumError, RecordParseError, json_object, read_json
 from .answers import AnswerValue, normalize_answer
 from .model import Candidate, Check, Verdict
 
@@ -163,13 +163,18 @@ class RunStore:
         return record.run_id
 
     def load_run(self, run_id: str) -> RunRecord:
+        """The stored run; a missing run raises FileNotFoundError, and a
+        corrupt ``config.json`` (byte offset 0) or cell line (the line's
+        byte offset) raises RecordParseError."""
         run_dir = self._dir(run_id)
         config_path = run_dir / "config.json"
         record_path = run_dir / "record.jsonl"
         if not record_path.exists():
             raise FileNotFoundError(f"no run {run_id!r} under {self.root}")
-        with open(config_path) as fh:
-            config = json.load(fh)
+        try:
+            config = json_object(read_json(config_path, "run config"), f"run config {config_path}")
+        except ConfigurationError as exc:
+            raise RecordParseError(str(exc), 0) from exc
         cells = []
         offset = 0
         with open(record_path, "rb") as fh:
@@ -178,7 +183,7 @@ class RunStore:
                 if line:
                     try:
                         cells.append(CellRecord.from_json(json.loads(line)))
-                    except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+                    except (ValueError, KeyError, TypeError, AttributeError, RecursionError, QuorumError) as exc:
                         raise RecordParseError(f"corrupt cell record: {exc}", offset) from exc
                 offset += len(raw)
         return RunRecord(run_id, config, cells)

@@ -5,6 +5,13 @@ it always returns the same verdict.  A task binds its check once, when it
 is built: a registered verifier (puzzle train-pair execution, exact game
 values) or its reference answer compared after normalization.  Tasks with
 neither are unverifiable and yield an error verdict rather than a guess.
+
+A bound check depends only on ``candidate.answer``, so the task runs it
+at most once per distinct answer and keeps each verdict in a memo for
+its own life; an error candidate is answered here and never reaches it.
+That memo is the one piece of mutable state the ``--parallel`` threads
+share; two threads that race on a new answer may both run its check,
+which costs only time.
 """
 
 from __future__ import annotations

@@ -309,6 +309,35 @@ class TestEval:
         out = capsys.readouterr().out
         assert "best_of_n#1@s" in out and "best_of_n#2@s" in out
 
+    def test_each_distinct_program_is_checked_once_per_task(self, tmp_path, capsys, monkeypatch):
+        # Two program texts, one in two spellings: best_of_n checks its
+        # eight samples and its pick, self_consistency its pick, yet each
+        # normalized program runs on the train pairs at most once.
+        from quorum.arc import programs
+
+        checked, check_program_text = [], programs.check_program_text
+
+        def counting(text, puzzle):
+            checked.append(text)
+            return check_program_text(text, puzzle)
+
+        monkeypatch.setattr(programs, "check_program_text", counting)
+        tasks = [{"id": "rot", "prompt": "?", "answer_kind": "text",
+                  "verifier": {"kind": "arc_program", "params": {"task": ROT180_TASK}}}]
+        (tmp_path / "tasks.json").write_text(json.dumps(tasks))
+        table = {"*": [["rotate180", 0.4], ["ROTATE180", 0.3], ["flip_h", 0.3]]}
+        config = {
+            "solvers": [{"id": "s", "kind": "scripted", "params": {"table": table}}],
+            "methods": [{"method_id": "best_of_n", "n": 8}, {"method_id": "self_consistency", "n": 5}],
+            "tasks": str(tmp_path / "tasks.json"),
+            "seed": 3,
+        }
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        assert main(["eval", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "r")]) == 0
+        assert "best_of_n@s" in capsys.readouterr().out
+        assert sorted(checked) == sorted(set(checked))
+        assert set(checked) <= {"rotate180", "flip_h"}
+
     def test_rto_template_with_a_conversion_runs(self, tmp_path, capsys):
         # The config check and the rto cell apply one template rule, so a
         # template the config accepts never stops the sweep inside a cell.

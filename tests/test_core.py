@@ -215,6 +215,102 @@ class TestVerify:
         assert len(verdicts) == 1
 
 
+# Per verifier kind: a task builder, an answer kind, a passing answer in
+# two spellings that normalize alike, and a failing answer.
+MEMO_CASES = {
+    "reference": (lambda: _task(reference="3"), "integer", ("3", "n = 3"), "4"),
+    "game_answer": (lambda: Task(id="tri", category="game", prompt="?", answer_kind="integer",
+                                 verifier=VerifierBinding("game_answer", {"game": "ninja", "n": 6})),
+                    "integer", ("3", "k = 3"), "4"),
+    "arc_program": (lambda: Task(id="rot", category="puzzle", prompt="?", answer_kind="text",
+                                 verifier=VerifierBinding("arc_program", {"task": ROT90_PUZZLE})),
+                    "text", ("rotate90", "  ROTATE90\n"), "rotate180"),
+}
+
+
+@pytest.fixture()
+def check_calls(monkeypatch):
+    """Counts the underlying check of each verifier kind.  Tasks built
+    after this fixture bind the counting checks."""
+    import importlib
+    from collections import Counter
+
+    from quorum.arc import programs
+    from quorum.core import model
+
+    verify_module = importlib.import_module("quorum.core.verify")
+    calls = Counter()
+
+    def counting(kind, check):
+        def counted(*args):
+            calls[kind] += 1
+            return check(*args)
+        return counted
+
+    monkeypatch.setattr(model, "check_reference", counting("reference", model.check_reference))
+    monkeypatch.setattr(verify_module, "check_reference", counting("game_answer", verify_module.check_reference))
+    monkeypatch.setattr(programs, "check_program_text", counting("arc_program", programs.check_program_text))
+    return calls
+
+
+class TestVerifyOncePerAnswer:
+    @pytest.mark.parametrize("kind", MEMO_CASES)
+    def test_each_distinct_answer_is_checked_once(self, check_calls, kind):
+        build, answer_kind, (good, _), bad = MEMO_CASES[kind]
+        task = build()
+        for _ in range(10):
+            assert verify(task, _candidate(good, kind=answer_kind)).is_pass
+        assert verify(task, _candidate(bad, kind=answer_kind)).status == "fail"
+        assert check_calls == {kind: 2}
+
+    @pytest.mark.parametrize("kind", MEMO_CASES)
+    def test_spellings_of_one_answer_share_a_check(self, check_calls, kind):
+        build, answer_kind, spellings, _ = MEMO_CASES[kind]
+        task = build()
+        assert all(verify(task, _candidate(raw, kind=answer_kind)).is_pass for raw in spellings)
+        assert check_calls == {kind: 1}
+
+    @pytest.mark.parametrize("kind", MEMO_CASES)
+    def test_a_remembered_verdict_equals_a_fresh_one(self, kind):
+        build, answer_kind, (good, _), bad = MEMO_CASES[kind]
+        task = build()
+        for raw in (good, bad, good, bad):
+            cand = _candidate(raw, kind=answer_kind)
+            assert verify(task, cand) == verify(build(), cand)
+
+    def test_tasks_built_from_one_entry_keep_separate_memos(self, check_calls):
+        entry = {"id": "rot", "prompt": "?", "answer_kind": "text",
+                 "verifier": {"kind": "arc_program", "params": {"task": ROT90_PUZZLE}}}
+        first, second = Task.from_dict(entry), Task.from_dict(entry)
+        assert first == second
+        for task in (first, second, first, second):
+            assert verify(task, _candidate("rotate90", kind="text")).is_pass
+        assert check_calls == {"arc_program": 2}
+
+    @pytest.mark.parametrize("kind", MEMO_CASES)
+    def test_an_error_candidate_never_reaches_the_check(self, check_calls, kind):
+        build, answer_kind, (good, _), _ = MEMO_CASES[kind]
+        task = build()
+        failed = Candidate(answer=normalize_answer(good, answer_kind), solver_id="s", method_id="m", seed=0,
+                           error="timeout")
+        assert verify(task, failed).status == "error"
+        assert check_calls == {}
+        assert verify(task, _candidate(good, kind=answer_kind)).is_pass
+
+    @pytest.mark.parametrize("kind", MEMO_CASES)
+    def test_bound_check_pickles(self, kind):
+        import pickle
+        from functools import partial
+
+        build, answer_kind, (good, _), bad = MEMO_CASES[kind]
+        task = build()
+        assert isinstance(task.check, partial)
+        for raw in (bad, good):  # the first is remembered before the copy, the second after
+            cand = _candidate(raw, kind=answer_kind)
+            verdict = verify(task, cand)
+            assert pickle.loads(pickle.dumps(task.check))(cand) == verdict
+
+
 class TestRunStore:
     def _record(self, run_id="r1", n_tasks=2, n_solvers=2):
         record = RunRecord(run_id, {"note": "test", "seed": 0})
@@ -243,6 +339,33 @@ class TestRunStore:
         with pytest.raises(RecordParseError) as excinfo:
             store.load_run("r1")
         assert excinfo.value.byte_offset > 0
+
+    @pytest.mark.parametrize("content", [b"\xff", b"{", b"[" * 100_000, b"[1]"],
+                             ids=["not-utf8", "not-json", "too-deep", "not-an-object"])
+    def test_corrupt_config_is_a_record_parse_error(self, tmp_path, content):
+        store = RunStore(tmp_path)
+        store.record_run(self._record())
+        (tmp_path / "r1" / "config.json").write_bytes(content)
+        with pytest.raises(RecordParseError) as excinfo:
+            store.load_run("r1")
+        assert excinfo.value.byte_offset == 0
+
+    @pytest.mark.parametrize("edit", ["too-deep", "candidate-not-an-object", "answer-not-of-its-kind"])
+    def test_corrupt_cell_line_is_a_record_parse_error(self, tmp_path, edit):
+        store = RunStore(tmp_path)
+        store.record_run(self._record())
+        path = tmp_path / "r1" / "record.jsonl"
+        first, *rest = path.read_text().splitlines(keepends=True)
+        cell = json.loads(rest[0])
+        if edit == "candidate-not-an-object":
+            cell["candidate"] = "x"
+        elif edit == "answer-not-of-its-kind":
+            cell["candidate"]["answer"] = "no digits"
+        line = "[" * 100_000 if edit == "too-deep" else json.dumps(cell)
+        path.write_text(first + line + "\n" + "".join(rest[1:]))
+        with pytest.raises(RecordParseError) as excinfo:
+            store.load_run("r1")
+        assert excinfo.value.byte_offset == len(first.encode())
 
     def test_matrix_rebuild_matches_independent_recount(self, tmp_path):
         # Oracle: recount pass bits straight from the serialized cells.
