@@ -1,5 +1,6 @@
 from functools import partial
 
+from ..aggregate import table_name
 from ..errors import ConfigurationError, integer, json_object, list_of, number, string
 from .base import Solver, SolverError, sample, supports_two_stage
 from .chat import (
@@ -56,6 +57,7 @@ def resolve_solvers(entries, cache_root) -> dict:
     solvers = {}
     for entry in list_of(entries, "solvers"):
         sid = string(json_object(entry, "a solver entry", required=("id", "kind"))["id"], "solver id", nonempty=True)
+        table_name(sid, "the solver id")
         if sid in solvers:
             raise ConfigurationError(f"two solvers have the id {sid!r}")
         kind = string(entry["kind"], f"solver {sid!r} kind")

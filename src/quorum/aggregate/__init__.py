@@ -1,6 +1,6 @@
 from .coverage import ORDERINGS, CoverageCurve, coverage_curve
 from .matrix import ResultMatrix, or_aggregate, success_rate
-from .render import parse_matrix, render_matrix
+from .render import parse_matrix, render_matrix, table_name
 
 __all__ = [
     "ORDERINGS",
@@ -11,4 +11,5 @@ __all__ = [
     "success_rate",
     "parse_matrix",
     "render_matrix",
+    "table_name",
 ]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .matrix import ResultMatrix
 
@@ -35,34 +36,23 @@ def coverage_curve(matrix: ResultMatrix, ordering: str = "individual_desc") -> C
     """
     if ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering {ordering!r}; expected one of {ORDERINGS}")
-    import numpy as np
-
-    solved = matrix.solved
-    n = matrix.n_tasks
+    ids = matrix.solver_ids
+    rows = [set(compress(range(matrix.n_tasks), column)) for column in zip(*matrix.solved)]  # solved rows per solver
 
     if ordering == "individual_desc":
-        order = sorted(
-            range(matrix.n_solvers),
-            key=lambda k: (-int(solved[:, k].sum()), matrix.solver_ids[k]),
-        )
+        order = sorted(range(matrix.n_solvers), key=lambda k: (-len(rows[k]), ids[k]))
     else:
-        order = []
-        covered = np.zeros(n, dtype=bool)
+        order, covered = [], set()
         remaining = set(range(matrix.n_solvers))
         while remaining:
-            best = min(
-                remaining,
-                key=lambda k: (-int((solved[:, k] & ~covered).sum()), matrix.solver_ids[k]),
-            )
+            best = min(remaining, key=lambda k: (-len(rows[k] - covered), ids[k]))
             order.append(best)
-            covered |= solved[:, best]
+            covered |= rows[best]
             remaining.discard(best)
 
-    ids, counts, fractions = [], [], []
-    covered = np.zeros(n, dtype=bool)
+    counts, covered = [], set()
     for k in order:
-        covered |= solved[:, k]
-        ids.append(matrix.solver_ids[k])
-        counts.append(int(covered.sum()))
-        fractions.append(counts[-1] / n)
-    return CoverageCurve(tuple(ids), tuple(counts), tuple(fractions))
+        covered |= rows[k]
+        counts.append(len(covered))
+    return CoverageCurve(tuple(ids[k] for k in order), tuple(counts),
+                         tuple(c / matrix.n_tasks for c in counts))

@@ -7,9 +7,9 @@ seconds, e.g. ``✓ (8)``; rendering is deterministic and
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
+from ..errors import ConfigurationError
 from .matrix import ResultMatrix
 
 DEFAULT_MARKS = ("✓", "✗")
@@ -23,25 +23,35 @@ def _format_seconds(ms: float) -> str:
 
 def _cell(solved: bool, ms: Optional[float], marks: tuple[str, str]) -> str:
     mark = marks[0] if solved else marks[1]
-    if ms is None or (isinstance(ms, float) and math.isnan(ms)):
+    if ms is None:
         return mark
     return f"{mark} ({_format_seconds(ms)})"
+
+
+def table_name(name: str, what: str) -> str:
+    """``name``, if a table can hold it as a task or solver id, else a
+    ConfigurationError naming ``what``.  A table can hold exactly the
+    names with no ``|``, no line break and no leading or trailing
+    whitespace: those for which ``parse_matrix(render_matrix(m)) == m``."""
+    if "|" in name or name != name.strip() or len(name.splitlines()) > 1:
+        raise ConfigurationError(f"{what} {name!r} may not contain '|' or a line break, "
+                                 "nor start or end with whitespace")
+    return name
 
 
 def render_matrix(matrix: ResultMatrix, marks: tuple[str, str] = DEFAULT_MARKS) -> str:
     """Render as an aligned table: one row per task, one column per solver."""
     if marks[0] == marks[1]:
         raise ValueError("solved and unsolved marks must differ")
-    for name in matrix.task_ids + matrix.solver_ids + list(marks):
-        if "|" in name:
-            raise ValueError(f"{name!r} may not contain '|'")
+    for name in (*matrix.task_ids, *matrix.solver_ids, *marks):
+        table_name(name, "a table entry")
     header = ["task", *matrix.solver_ids]
     rows = [header]
     for i, task_id in enumerate(matrix.task_ids):
         row = [task_id]
         for k in range(matrix.n_solvers):
-            ms = None if matrix.elapsed_ms is None else matrix.elapsed_ms[i, k]
-            row.append(_cell(bool(matrix.solved[i, k]), ms, marks))
+            ms = None if matrix.elapsed_ms is None else matrix.elapsed_ms[i][k]
+            row.append(_cell(matrix.solved[i][k], ms, marks))
         rows.append(row)
     widths = [max(len(r[c]) for r in rows) for c in range(len(header))]
     lines = []

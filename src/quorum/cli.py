@@ -25,7 +25,7 @@ from itertools import product
 from pathlib import Path
 
 from .adapters import resolve_solvers
-from .aggregate import coverage_curve, render_matrix, success_rate
+from .aggregate import coverage_curve, render_matrix, success_rate, table_name
 from .arc.augment import augment, leave_one_out
 from .arc.dsl import parse_dsl
 from .arc.programs import ExternalProgram, predict, verify_program
@@ -65,7 +65,7 @@ def _load_eval_config(path: str) -> dict:
 def _load_task_entries(path) -> tuple[dict, ...]:
     """The entries of a tasks file, else a ConfigurationError: the file
     must hold a non-empty JSON list of objects, each with its own
-    non-empty string ``id``."""
+    non-empty string ``id`` that a result table can hold."""
     entries = list_of(read_json(path, "the tasks file"), f"the tasks in {path}")
     if not entries:
         raise ConfigurationError(f"no tasks in {path}")
@@ -73,6 +73,7 @@ def _load_task_entries(path) -> tuple[dict, ...]:
     for entry in entries:
         task_id = string(json_object(entry, f"a task in {path}", required=("id",))["id"],
                          f"{path}: a task id", nonempty=True)
+        table_name(task_id, f"{path}: the task id")
         if task_id in ids:
             raise ConfigurationError(f"{path}: two tasks have the id {task_id!r}")
         ids.add(task_id)

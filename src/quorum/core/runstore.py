@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
+from ..aggregate.matrix import ResultMatrix
 from ..errors import ConfigurationError, QuorumError, RecordParseError, json_object, read_json
 from .answers import AnswerValue, normalize_answer
 from .model import Candidate, Check, Verdict
@@ -121,10 +122,8 @@ class RunRecord:
     def add(self, cell: CellRecord):
         self.cells.append(cell)
 
-    def to_matrix(self):
+    def to_matrix(self) -> ResultMatrix:
         """Rebuild the task x solver boolean matrix from the cells."""
-        from ..aggregate.matrix import ResultMatrix
-
         rows, columns = {}, {}  # id -> index, in first-seen order
         for cell in self.cells:
             rows.setdefault(cell.task_id, len(rows))

@@ -18,6 +18,7 @@ import logging
 from typing import Optional, Sequence
 
 from ..adapters.base import SolverError
+from ..aggregate import ResultMatrix, table_name
 from ..errors import ConfigurationError, json_object, parse_json
 from ..seeds import derive_seed
 from .execute import execute
@@ -103,31 +104,18 @@ def ab_test(
     """Run every variant on every task; one result-matrix column per variant.
 
     A task cell counts as solved when the variant's ``passed`` output is
-    truthy; variant errors count as unsolved.
+    truthy, so a node that fails at run time leaves its cell unsolved.
+    A config mistake in any variant raises ``ConfigurationError``.
     """
-    from ..aggregate.matrix import ResultMatrix
-
     if len(variants) < 2:
         raise ConfigurationError("ab_test needs at least 2 variants")
     if not tasks:
         raise ConfigurationError("ab_test needs a non-empty task list")
     names = []
     for i, variant in enumerate(variants):
-        name = variant.name if variant.name not in names else f"{variant.name}#{i}"
-        names.append(name)
-    task_ids = []
-    for task in tasks:
-        task_id = getattr(task, "id", None) or task["id"]
-        task_ids.append(task_id)
-    solved = []
-    for task in tasks:
-        row = []
-        for variant in variants:
-            try:
-                outputs, _ = execute(variant, {input_name: task}, ctx)
-                row.append(bool(outputs.get(output_name)))
-            except Exception as exc:
-                log.warning("variant %s failed on %s: %s", variant.name, task, exc)
-                row.append(False)
-        solved.append(row)
+        table_name(variant.name, "the graph name")
+        names.append(variant.name if variant.name not in names else f"{variant.name}#{i}")
+    task_ids = [getattr(task, "id", None) or task["id"] for task in tasks]
+    solved = [[bool(execute(variant, {input_name: task}, ctx)[0].get(output_name)) for variant in variants]
+              for task in tasks]
     return ResultMatrix(task_ids, names, solved)

@@ -843,6 +843,75 @@ class TestGraphCli:
         payload = json.loads(out.read_text())
         assert payload["solver_ids"] == ["small", "small#1"] or len(payload["solver_ids"]) == 2
 
+    def test_abtest_variant_with_unknown_method_is_exit_2(self, tmp_path, capsys):
+        config = tmp_path / "solvers.json"
+        config.write_text(json.dumps({"solvers": [
+            {"id": "s", "kind": "scripted", "params": {"table": {"*": [["A", 1.0]]}}}]}))
+        (tmp_path / "tasks.json").write_text(json.dumps([{"id": "q", "prompt": "?", "answer_kind": "choice",
+                                                         "reference": "A"}]))
+        good = self._method_graph(tmp_path, m={"method_id": "zero_shot", "solver_id": "s"})
+        bad = good.with_name("bad.json")
+        bad.write_text(good.read_text().replace('"zero_shot"', '"no_such_method"'))
+        out = tmp_path / "matrix.json"
+        assert main(["graph", "abtest", "--graphs", str(good), str(bad), "--tasks", str(tmp_path / "tasks.json"),
+                     "--config", str(config), "--out", str(out)]) == 2
+        assert "configuration error: unknown method 'no_such_method'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_abtest_variant_whose_solver_raises_scores_unsolved(self, tmp_path, capsys):
+        from quorum.fixtures import graph_template
+
+        config = tmp_path / "solvers.json"
+        config.write_text(json.dumps({"solvers": [
+            {"id": "synthesizer", "kind": "scripted", "params": {"table": {"*": [["rotate180", 1.0]]}}},
+            {"id": "broken", "kind": "scripted", "params": {"table": {"*": [["!error:down", 1.0]]}}},
+        ]}))
+        (tmp_path / "tasks.json").write_text(json.dumps([{"id": "p1", **ROT180_TASK}]))
+        good = graph_template("puzzle_pipeline").to_json()
+        bad = json.loads(json.dumps(good))
+        bad["name"] = "broken_pipeline"
+        bad["nodes"]["synthesize"]["params"]["solver_id"] = "broken"
+        for name, graph in (("good", good), ("bad", bad)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(graph))
+        out = tmp_path / "matrix.json"
+        assert main(["graph", "abtest", "--graphs", str(tmp_path / "good.json"), str(tmp_path / "bad.json"),
+                     "--tasks", str(tmp_path / "tasks.json"), "--config", str(config), "--out", str(out)]) == 0
+        assert "✗" in capsys.readouterr().out
+        assert json.loads(out.read_text())["solved"] == [[1, 0]]
+
+
+@pytest.mark.parametrize("case", ["eval-task-id", "eval-solver-id", "abtest-task-id", "abtest-graph-name"])
+def test_id_a_table_cannot_hold_is_exit_2_before_any_cell(tmp_path, capsys, monkeypatch, eval_setup, case):
+    import quorum.cli
+    import quorum.graph.revise
+    from quorum.fixtures import graph_template
+
+    cells = []
+    monkeypatch.setattr(quorum.cli, "run_method", lambda *a, **kw: cells.append(a))
+    monkeypatch.setattr(quorum.graph.revise, "execute", lambda *a, **kw: cells.append(a))
+    config_file, _ = eval_setup
+    config = json.loads(config_file.read_text())
+    tasks = json.loads(Path(config["tasks"]).read_text())
+    graph = graph_template("puzzle_pipeline").to_json()
+    if case.endswith("task-id"):
+        tasks[0]["id"] = "a|b"
+    elif case == "eval-solver-id":
+        config["solvers"][0]["id"] = "s|x"
+    else:
+        graph["name"] = "v|1"
+    Path(config["tasks"]).write_text(json.dumps(tasks))
+    config_file.write_text(json.dumps(config))
+    (tmp_path / "graph.json").write_text(json.dumps(graph))
+    out = tmp_path / "out"
+    if case.startswith("eval"):
+        argv = ["eval", "--config", str(config_file), "--out", str(out)]
+    else:
+        argv = ["graph", "abtest", "--graphs", str(tmp_path / "graph.json"), str(tmp_path / "graph.json"),
+                "--tasks", config["tasks"], "--out", str(out)]
+    assert main(argv) == 2
+    assert "may not contain '|'" in capsys.readouterr().err
+    assert cells == [] and not out.exists()
+
 
 @pytest.mark.parametrize("case", [
     "eval-config-is-a-directory", "eval-tasks-is-a-directory", "eval-out-is-a-file",

@@ -2,8 +2,9 @@
 
 Each check runs in a fresh interpreter, since this one has imported both
 long ago.  A command that needs neither (puzzle verification, a graph
-without solvers) must not pay for them; a scripted sweep builds matrices
-with numpy but never needs an HTTP client.
+without solvers, a scripted sweep of reference-answer tasks) must not pay
+for them; a sweep that checks a game answer loads numpy with the game
+solvers.
 """
 
 import json
@@ -68,16 +69,29 @@ def test_puzzle_and_graph_commands_load_neither_numpy_nor_requests(tmp_path):
     assert points == [["import", 0, []], ["arc verify", 0, []], ["graph run", 0, []]]
 
 
-def test_scripted_sweep_never_loads_requests(tmp_path):
+def _scripted_sweep(tmp_path, task, answers):
+    """Runs one scripted sweep of ``task`` and returns what it loaded."""
     tasks = tmp_path / "tasks.json"
-    tasks.write_text(json.dumps([{"id": "t1", "prompt": "?", "answer_kind": "choice", "reference": "A"}]))
+    tasks.write_text(json.dumps([task]))
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
-        "solvers": [{"id": "s", "kind": "scripted", "params": {"table": {"*": [["A", 0.5], ["B", 0.5]]}}}],
+        "solvers": [{"id": "s", "kind": "scripted", "params": {"table": {"*": [[a, 0.5] for a in answers]}}}],
         "methods": [{"method_id": "best_of_n", "n": 4}, {"method_id": "self_consistency", "n": 3}],
         "tasks": str(tasks),
     }))
     [_, (command, code, loaded)] = _probe([["eval", "--config", str(config), "--out", str(tmp_path / "runs")]],
                                           tmp_path)
     assert (command, code) == ("eval --config", 0)
-    assert "requests" not in loaded
+    return loaded
+
+
+def test_scripted_sweep_never_loads_requests(tmp_path):
+    # Nor numpy: a sweep of reference-answer tasks builds its matrix in plain Python.
+    task = {"id": "t1", "prompt": "?", "answer_kind": "choice", "reference": "A"}
+    assert _scripted_sweep(tmp_path, task, ["A", "B"]) == []
+
+
+def test_game_answer_sweep_loads_numpy_with_the_game_solvers(tmp_path):
+    task = {"id": "g", "category": "game", "prompt": "ninja 6", "answer_kind": "integer",
+            "verifier": {"kind": "game_answer", "params": {"game": "ninja", "n": 6}}}
+    assert _scripted_sweep(tmp_path, task, ["3", "4"]) == ["numpy"]

@@ -403,4 +403,4 @@ class TestRunStore:
             recount[(obj["task_id"], obj["solver_id"])] = obj["verdict"]["status"] == "pass"
         for i, task_id in enumerate(matrix.task_ids):
             for k, solver_id in enumerate(matrix.solver_ids):
-                assert matrix.solved[i, k] == recount[(task_id, solver_id)]
+                assert matrix.solved[i][k] == recount[(task_id, solver_id)]

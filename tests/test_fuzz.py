@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from quorum.cli import main
 from test_cli import GOLDEN_CONFIG, GOLDEN_TASKS, ROT180_TASK
 
-VALUES = (0, -1, 1.5, True, None, "", "x", [], [1], [[1]], {}, {"a": 1})
+VALUES = (0, -1, 1.5, True, None, "", "x", "a|b", [], [1], [[1]], {}, {"a": 1})
 TMP = "@TMP@"  # stands for the example's scratch directory in paths and argv
 
 GAME_TASK = {"id": "g", "category": "game", "prompt": "ninja 6", "answer_kind": "integer",
