@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from ..errors import ConfigurationError
 from ..seeds import rng_for
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -56,10 +57,6 @@ class Trajectory:
                 return {"frozenset": sorted(map(enc, x))}
             if isinstance(x, tuple):
                 return list(map(enc, x))
-            if isinstance(x, (np.integer,)):
-                return int(x)
-            if isinstance(x, (np.floating,)):
-                return float(x)
             return x
 
         return json.dumps(
@@ -75,7 +72,7 @@ class Trajectory:
         )
 
 
-Policy = Callable[[tuple, Sequence, np.random.Generator], object]
+Policy = Callable[[tuple, Sequence, "np.random.Generator"], object]
 
 
 def random_policy(state, actions, rng: np.random.Generator):

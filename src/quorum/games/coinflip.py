@@ -2,8 +2,11 @@
 
 All coins start tails.  A move picks a 2x2 square, flips its top-left
 and bottom-right coins, plus one of the top-right / bottom-left corner
-coins.  The question is whether all-heads is reachable; exhaustive BFS
-over the 2^(mn) board states answers it for m*n <= 20.
+coins.  The question is whether all-heads is reachable.  Every move XORs
+a fixed mask into the board, so the boards reachable from all-tails are
+exactly the GF(2) span of the move masks; Gaussian elimination on those
+masks decides whether the all-ones board lies in it.  Boards are limited
+to m*n <= 20.
 
 Every move flips exactly one coin on each of the three diagonals
 labeled (i+j) mod 3, so the head counts per label class keep equal
@@ -13,12 +16,10 @@ unsolvable.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..errors import ConfigurationError, IntractableError
 from .base import GameSpec
 
-BFS_CELL_LIMIT = 20
+CELL_LIMIT = 20
 
 WIN_REWARD = 1000  # reaching all-heads
 MOVE_COST = -1  # per move
@@ -27,10 +28,8 @@ MOVE_COST = -1  # per move
 def _check_dims(m: int, n: int):
     if m < 2 or n < 2:
         raise ConfigurationError("board needs m, n >= 2")
-    if m * n > BFS_CELL_LIMIT:
-        raise IntractableError(
-            f"{m}x{n} board has 2^{m * n} states; exhaustive search is limited to m*n <= {BFS_CELL_LIMIT}"
-        )
+    if m * n > CELL_LIMIT:
+        raise IntractableError(f"{m}x{n} board has {m * n} cells; the solver is limited to m*n <= {CELL_LIMIT}")
 
 
 def move_masks(m: int, n: int) -> list[int]:
@@ -44,31 +43,20 @@ def move_masks(m: int, n: int) -> list[int]:
     return masks
 
 
-_CHUNK = 1 << 15
-
-
-def _bfs_reachable(m: int, n: int) -> np.ndarray:
-    """Visited table of the BFS from the all-tails state."""
-    masks = np.array(move_masks(m, n), dtype=np.int64)
-    visited = np.zeros(1 << (m * n), dtype=bool)
-    visited[0] = True
-    frontier = np.array([0], dtype=np.int64)
-    while frontier.size:
-        new_parts = []
-        for start in range(0, frontier.size, _CHUNK):
-            chunk = frontier[start:start + _CHUNK]
-            cand = np.unique(chunk[:, None] ^ masks[None, :])
-            cand = cand[~visited[cand]]
-            visited[cand] = True
-            new_parts.append(cand)
-        frontier = np.concatenate(new_parts) if new_parts else np.array([], dtype=np.int64)
-    return visited
-
-
 def coinflip_solvable(m: int, n: int) -> bool:
     """True iff all-heads is reachable from all-tails."""
     _check_dims(m, n)
-    return bool(_bfs_reachable(m, n)[(1 << (m * n)) - 1])
+    basis: list[int] = []  # distinct leading bits, largest first
+    for mask in move_masks(m, n):
+        for b in basis:
+            mask = min(mask, mask ^ b)
+        if mask:
+            basis.append(mask)
+            basis.sort(reverse=True)
+    goal = (1 << (m * n)) - 1
+    for b in basis:
+        goal = min(goal, goal ^ b)
+    return goal == 0
 
 
 def label_parities(state: int, m: int, n: int) -> tuple[int, int, int]:

@@ -1,44 +1,33 @@
 """Guaranteed red circles on a downward path through a colored triangle.
 
 One circle per row is red.  The adversary colors to minimize, the
-walker picks the path maximizing red circles visited.  Exhaustive
-enumeration over all colorings (row i has i choices, so n! total) with
-a max-path dynamic program per coloring.
+walker picks the path maximizing red circles visited.  The walker's
+dynamic program keeps, after row i, the most reds on any path ending at
+each circle of that row; the rows below see nothing else of the
+coloring.  So the solver keeps the set of distinct DP rows reachable
+under some coloring, row by row, and the guarantee is the least best
+total over the last row's set.  Triangles are limited to n <= 8 rows.
 """
 
 from __future__ import annotations
 
-from itertools import product
-
 from ..errors import ConfigurationError, IntractableError
 from .base import GameSpec
 
-ENUM_LIMIT = 8  # 8! = 40320 colorings
-
-
-def best_path_reds(coloring: tuple[int, ...]) -> int:
-    """Max red circles over all root-to-bottom paths for one coloring."""
-    n = len(coloring)
-    dp = [1 if coloring[0] == 0 else 0]
-    for i in range(1, n):
-        row = []
-        for j in range(i + 1):
-            above = max(dp[k] for k in (j - 1, j) if 0 <= k < i)
-            row.append(above + (1 if coloring[i] == j else 0))
-        dp = row
-    return max(dp)
+ROW_LIMIT = 8
 
 
 def ninja_guarantee(n: int) -> int:
     """Largest k such that every coloring admits a path with k reds."""
     if n < 1:
         raise ConfigurationError("n must be >= 1")
-    if n > ENUM_LIMIT:
-        raise IntractableError(f"exhaustive enumeration is limited to n <= {ENUM_LIMIT}")
-    return min(
-        best_path_reds(coloring)
-        for coloring in product(*(range(i + 1) for i in range(n)))
-    )
+    if n > ROW_LIMIT:
+        raise IntractableError(f"the solver is limited to n <= {ROW_LIMIT}")
+    rows = {(1,)}  # the top circle is always red
+    for i in range(1, n):
+        rows = {tuple(max(dp[max(j - 1, 0):j + 1]) + (j == red) for j in range(i + 1))
+                for dp in rows for red in range(i + 1)}
+    return min(map(max, rows))
 
 
 def ninja_game(n: int, coloring: tuple[int, ...] | None = None) -> GameSpec:

@@ -2,7 +2,7 @@ from .execute import Trace, TraceEntry, digest, execute
 from .model import Edge, GraphValidationError, NodeDef, PipelineGraph
 from .mutate import MUTATION_KINDS, Mutation, MutationError, mutate
 from .ops import ExecutionContext, op_def, register_op
-from .revise import ab_test, parse_proposal_line, propose_revision
+from .revise import ab_test, parse_proposal_line
 
 __all__ = [
     "Trace",
@@ -22,5 +22,4 @@ __all__ = [
     "register_op",
     "ab_test",
     "parse_proposal_line",
-    "propose_revision",
 ]

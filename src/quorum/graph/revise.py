@@ -1,32 +1,26 @@
-"""Judge-proposed pipeline revisions and A/B testing of graph variants.
+"""Revising a pipeline graph: one-line mutations and A/B tests of variants.
 
-The judge (any solver) sees the graph, the trace, and the result, and
-replies one mutation per line in the strict format::
+``parse_proposal_line`` reads a mutation written in the strict format::
 
     KIND TARGET [JSON-PAYLOAD]
 
-e.g. ``edit_param sampler {"key": "n", "value": 5}`` or
-``remove_node dead_branch``.  Unparseable lines and mutations that do
-not validate against the graph are dropped with a warning; free-text
-advice is ignored by construction.
+e.g. ``edit_param sampler {"key": "n", "value": 5}``,
+``remove_node dead_branch`` or ``remove_edge left.value->join.a``;
+``graph mutate --mutation`` takes exactly this.  ``ab_test`` runs two or
+more graph variants on the same tasks and returns one result-matrix
+column per variant.
 """
 
 from __future__ import annotations
 
-import json
-import logging
 from typing import Optional, Sequence
 
-from ..adapters.base import SolverError
 from ..aggregate import ResultMatrix, table_name
 from ..errors import ConfigurationError, json_object, parse_json
-from ..seeds import derive_seed
 from .execute import execute
 from .model import PipelineGraph
-from .mutate import MUTATION_KINDS, Mutation, MutationError, mutate
+from .mutate import Mutation, MutationError
 from .ops import ExecutionContext
-
-log = logging.getLogger(__name__)
 
 _TARGET_KEY = {
     "edit_param": "node",
@@ -60,40 +54,6 @@ def parse_proposal_line(line: str) -> Mutation:
     return Mutation(kind, payload)
 
 
-def propose_revision(
-    graph: PipelineGraph,
-    trace,
-    result,
-    judge,
-    seed: int = 0,
-) -> list[Mutation]:
-    """Ask a judge solver for mutations; return only the valid ones."""
-    prompt = (
-        "Propose pipeline revisions, one per line, as 'KIND TARGET [JSON]'.\n"
-        f"kinds: {', '.join(MUTATION_KINDS)}\n"
-        f"graph: {json.dumps(graph.to_json(), sort_keys=True)}\n"
-        f"trace: {json.dumps(trace.to_json() if hasattr(trace, 'to_json') else trace, sort_keys=True)}\n"
-        f"result: {json.dumps(result, sort_keys=True, default=repr)}"
-    )
-    try:
-        reply = judge.solve(graph.name, prompt, derive_seed(seed, "revise"))
-    except SolverError as exc:
-        log.warning("judge failed, no proposals: %s", exc)
-        return []
-    mutations = []
-    for line in reply.splitlines():
-        if not line.strip():
-            continue
-        try:
-            mutation = parse_proposal_line(line)
-            mutate(graph, mutation)  # validation only; discard the result
-        except ConfigurationError as exc:
-            log.warning("dropping proposal %r: %s", line, exc)
-            continue
-        mutations.append(mutation)
-    return mutations
-
-
 def ab_test(
     variants: Sequence[PipelineGraph],
     tasks: Sequence,
@@ -105,7 +65,8 @@ def ab_test(
 
     A task cell counts as solved when the variant's ``passed`` output is
     truthy, so a node that fails at run time leaves its cell unsolved.
-    A config mistake in any variant raises ``ConfigurationError``.
+    A config mistake in any variant raises ``ConfigurationError``; column
+    names that clash raise it before any variant runs.
     """
     if len(variants) < 2:
         raise ConfigurationError("ab_test needs at least 2 variants")
@@ -115,6 +76,10 @@ def ab_test(
     for i, variant in enumerate(variants):
         table_name(variant.name, "the graph name")
         names.append(variant.name if variant.name not in names else f"{variant.name}#{i}")
+    clashes = sorted({name for name in names if names.count(name) > 1})
+    if clashes:
+        raise ConfigurationError(f"graphs named {', '.join(repr(v.name) for v in variants)} repeat the column "
+                                 f"name(s) {', '.join(map(repr, clashes))}; rename a graph")
     task_ids = [getattr(task, "id", None) or task["id"] for task in tasks]
     solved = [[bool(execute(variant, {input_name: task}, ctx)[0].get(output_name)) for variant in variants]
               for task in tasks]

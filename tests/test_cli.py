@@ -913,6 +913,26 @@ def test_id_a_table_cannot_hold_is_exit_2_before_any_cell(tmp_path, capsys, monk
     assert cells == [] and not out.exists()
 
 
+def test_abtest_graph_names_whose_columns_clash_are_exit_2_before_any_variant(tmp_path, capsys, monkeypatch):
+    # The second "a" would become column "a#2", which the first graph already names.
+    import quorum.graph.revise
+    from quorum.fixtures import graph_template
+
+    runs = []
+    monkeypatch.setattr(quorum.graph.revise, "execute", lambda *a, **kw: runs.append(a))
+    graph = graph_template("puzzle_pipeline").to_json()
+    paths = []
+    for i, name in enumerate(["a#2", "a", "a"]):
+        paths.append(tmp_path / f"g{i}.json")
+        paths[-1].write_text(json.dumps({**graph, "name": name}))
+    (tmp_path / "tasks.json").write_text(json.dumps([{"id": "p1", **ROT180_TASK}]))
+    out = tmp_path / "matrix.json"
+    assert main(["graph", "abtest", "--graphs", *map(str, paths), "--tasks", str(tmp_path / "tasks.json"),
+                 "--out", str(out)]) == 2
+    assert "repeat the column name(s) 'a#2'" in capsys.readouterr().err
+    assert runs == [] and not out.exists()
+
+
 @pytest.mark.parametrize("case", [
     "eval-config-is-a-directory", "eval-tasks-is-a-directory", "eval-out-is-a-file",
     "graph-is-a-directory", "graph-config-is-a-directory", "predict-out-is-a-directory", "puzzle-is-a-directory",

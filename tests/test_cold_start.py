@@ -2,9 +2,9 @@
 
 Each check runs in a fresh interpreter, since this one has imported both
 long ago.  A command that needs neither (puzzle verification, a graph
-without solvers, a scripted sweep of reference-answer tasks) must not pay
-for them; a sweep that checks a game answer loads numpy with the game
-solvers.
+without solvers, a scripted sweep of reference-answer or game-answer
+tasks, an exact game value) must not pay for them; numpy loads at the
+first seeded Generator, which a game simulation draws from.
 """
 
 import json
@@ -91,7 +91,15 @@ def test_scripted_sweep_never_loads_requests(tmp_path):
     assert _scripted_sweep(tmp_path, task, ["A", "B"]) == []
 
 
-def test_game_answer_sweep_loads_numpy_with_the_game_solvers(tmp_path):
+def test_game_answer_sweep_loads_neither_numpy_nor_requests(tmp_path):
+    # The exact solvers are plain-integer algebra.
     task = {"id": "g", "category": "game", "prompt": "ninja 6", "answer_kind": "integer",
             "verifier": {"kind": "game_answer", "params": {"game": "ninja", "n": 6}}}
-    assert _scripted_sweep(tmp_path, task, ["3", "4"]) == ["numpy"]
+    assert _scripted_sweep(tmp_path, task, ["3", "4"]) == []
+
+
+def test_game_value_loads_numpy_only_to_simulate(tmp_path):
+    points = _probe([["game", "ninja", "6"], ["game", "coinflip", "4", "5"],
+                     ["game", "ninja", "6", "--simulate", "1"]], tmp_path)
+    assert points == [["import", 0, []], ["game ninja", 0, []], ["game coinflip", 0, []],
+                      ["game ninja", 0, ["numpy"]]]

@@ -1,7 +1,9 @@
 """Exact game solvers and simulation."""
 
 import math
+from itertools import product
 
+import numpy as np
 import pytest
 
 from quorum.errors import ConfigurationError, IntractableError
@@ -286,30 +288,57 @@ class TestTurboDifferential:
                 assert mine == _walk_level_turbo(rows, cols), (rows, cols)
 
 
-def _goal_in_span(masks, goal):
-    """GF(2) oracle: all-heads reachable iff the goal is in the move span."""
-    basis = []
-    for mask in masks:
-        for b in basis:
-            mask = min(mask, mask ^ b)
-        if mask:
-            basis.append(mask)
-    basis.sort(reverse=True)
-    for b in basis:
-        goal = min(goal, goal ^ b)
-    return goal == 0
+_CHUNK = 1 << 15
+
+
+def _bfs_reachable(m, n):
+    """Independent oracle: visited table of a breadth-first search over
+    all 2^(mn) boards from all-tails, in chunks of frontier boards."""
+    masks = np.array(move_masks(m, n), dtype=np.int64)
+    visited = np.zeros(1 << (m * n), dtype=bool)
+    visited[0] = True
+    frontier = np.array([0], dtype=np.int64)
+    while frontier.size:
+        new_parts = []
+        for start in range(0, frontier.size, _CHUNK):
+            chunk = frontier[start:start + _CHUNK]
+            cand = np.unique(chunk[:, None] ^ masks[None, :])
+            cand = cand[~visited[cand]]
+            visited[cand] = True
+            new_parts.append(cand)
+        frontier = np.concatenate(new_parts) if new_parts else np.array([], dtype=np.int64)
+    return visited
 
 
 class TestCoinflipDifferential:
     def test_bfs_matches_linear_span(self):
-        # Moves are XOR involutions, so reachability from all-tails is
-        # exactly linear-span membership; Gaussian elimination over
-        # GF(2) is an independent route to the same answer.
-        for m in range(2, 9):
-            for n in range(2, 9):
-                if m * n <= 16:
-                    span = _goal_in_span(move_masks(m, n), (1 << (m * n)) - 1)
-                    assert coinflip_solvable(m, n) == span, (m, n)
+        # The solver's GF(2) span test against a search of every board,
+        # on every size it accepts.
+        sizes = [(m, n) for m in range(2, 11) for n in range(2, 11) if m * n <= 20]
+        assert len(sizes) == 27
+        for m, n in sizes:
+            assert coinflip_solvable(m, n) == bool(_bfs_reachable(m, n)[(1 << (m * n)) - 1]), (m, n)
+
+
+def _best_path_reds(coloring):
+    """Max red circles over all root-to-bottom paths for one coloring."""
+    n = len(coloring)
+    dp = [1 if coloring[0] == 0 else 0]
+    for i in range(1, n):
+        row = []
+        for j in range(i + 1):
+            above = max(dp[k] for k in (j - 1, j) if 0 <= k < i)
+            row.append(above + (1 if coloring[i] == j else 0))
+        dp = row
+    return max(dp)
+
+
+class TestNinjaDifferential:
+    def test_distinct_rows_match_every_coloring(self):
+        # Independent oracle: a fresh path DP on each of the n! colorings.
+        for n in range(1, 9):
+            worst = min(_best_path_reds(coloring) for coloring in product(*(range(i + 1) for i in range(n))))
+            assert ninja_guarantee(n) == worst, n
 
 
 class TestSequenceDifferential:

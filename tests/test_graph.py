@@ -1,10 +1,8 @@
-"""Pipeline graphs: execution, tracing, mutation, judge proposals, A/B."""
-
-import logging
+"""Pipeline graphs: execution, tracing, mutation, proposal lines, A/B."""
 
 import pytest
 
-from quorum.adapters import ScriptedSolver, TransformSolver
+from quorum.adapters import ScriptedSolver
 from quorum.arc import ArcTask, Grid
 from quorum.graph import (
     Edge,
@@ -18,8 +16,8 @@ from quorum.graph import (
     execute,
     mutate,
     parse_proposal_line,
-    propose_revision,
 )
+from quorum.errors import ConfigurationError
 from quorum.seeds import rng_for
 
 
@@ -81,8 +79,6 @@ class TestExecute:
         assert executed == {"src", "left", "right"}  # all not downstream of the failure
 
     def test_missing_input_rejected(self):
-        from quorum.errors import ConfigurationError
-
         with pytest.raises(ConfigurationError, match="missing graph inputs"):
             execute(_passthrough_graph(), {})
 
@@ -222,51 +218,44 @@ class TestMutate:
 
 
 class TestProposeRevision:
-    def _judge(self, reply):
-        return TransformSolver("judge", lambda p, rng: reply)
+    """A proposed revision is one ``KIND TARGET [JSON]`` line, read by
+    ``parse_proposal_line`` and checked against the graph by ``mutate``."""
+
+    def _apply(self, line):
+        return mutate(_diamond_graph(), parse_proposal_line(line))
 
     def test_parse_contract(self):
-        graph = _diamond_graph()
-        judge = self._judge('edit_param right {"key": "x", "value": 1}')
-        proposals = propose_revision(graph, {"entries": []}, {"passed": False}, judge)
-        assert proposals == [Mutation("edit_param", {"key": "x", "value": 1, "node": "right"})]
+        proposal = parse_proposal_line('edit_param right {"key": "x", "value": 1}')
+        assert proposal == Mutation("edit_param", {"key": "x", "value": 1, "node": "right"})
+        assert self._apply('edit_param right {"key": "x", "value": 1}').nodes["right"].params["x"] == 1
 
-    def test_invalid_target_dropped_with_warning(self, caplog):
-        graph = _diamond_graph()
-        judge = self._judge('edit_param ghost {"key": "x", "value": 1}\nremove_node src')
-        with caplog.at_level(logging.WARNING):
-            proposals = propose_revision(graph, {"entries": []}, {}, judge)
-        assert proposals == []
-        assert sum("dropping proposal" in r.message for r in caplog.records) == 2
+    def test_invalid_target_rejected(self):
+        with pytest.raises(MutationError, match="ghost"):
+            self._apply('edit_param ghost {"key": "x", "value": 1}')
+        with pytest.raises(MutationError):
+            self._apply("remove_node src")  # it feeds other nodes
 
-    def test_non_string_identifier_dropped_with_warning(self, caplog):
-        graph = _diamond_graph()
-        judge = self._judge('edit_param right {"node": [1], "key": "k", "value": 1}\n'
-                            'edit_param right {"key": [1], "value": 1}\n'
-                            'add_node x {"op": ["const"]}\n'
-                            'add_data x {"name": [1], "item": 1}\n'
-                            'remove_node x {"node": {"a": 1}}\n'
-                            'edit_param right {"key": "x", "value": [1]}')
-        with caplog.at_level(logging.WARNING):
-            proposals = propose_revision(graph, {"entries": []}, {}, judge)
-        assert proposals == [Mutation("edit_param", {"key": "x", "value": [1], "node": "right"})]
-        assert sum("must be a string" in r.message for r in caplog.records) == 5
+    def test_non_string_identifier_rejected(self):
+        for line in ('edit_param right {"node": [1], "key": "k", "value": 1}',
+                     'edit_param right {"key": [1], "value": 1}',
+                     'add_node x {"op": ["const"]}',
+                     'add_data x {"name": [1], "item": 1}',
+                     'remove_node x {"node": {"a": 1}}'):
+            with pytest.raises(ConfigurationError, match="must be a string"):
+                self._apply(line)
 
-    def test_payload_failing_a_shape_check_dropped_with_warning(self, caplog):
-        graph = _diamond_graph()
-        judge = self._judge('remove_data examples {"index": "0"}\n'
-                            'remove_data examples {"index": 1' + "0" * 5000 + '}\n'
-                            'edit_param right {"key": "x", "value": 1}')
-        with caplog.at_level(logging.WARNING):
-            proposals = propose_revision(graph, {"entries": []}, {}, judge)
-        assert proposals == [Mutation("edit_param", {"key": "x", "value": 1, "node": "right"})]
-        assert sum("dropping proposal" in r.message for r in caplog.records) == 2
+    def test_non_string_value_accepted(self):
+        assert self._apply('edit_param right {"key": "x", "value": [1]}').nodes["right"].params["x"] == [1]
 
-    def test_free_text_dropped(self, caplog):
-        graph = _diamond_graph()
-        judge = self._judge("maybe try increasing the sample count?")
-        with caplog.at_level(logging.WARNING):
-            assert propose_revision(graph, {"entries": []}, {}, judge) == []
+    def test_payload_failing_a_shape_check_rejected(self):
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            self._apply('remove_data examples {"index": "0"}')
+        with pytest.raises(ConfigurationError, match="cannot be read as JSON"):
+            self._apply('remove_data examples {"index": 1' + "0" * 5000 + '}')
+
+    def test_free_text_rejected(self):
+        with pytest.raises(ConfigurationError, match="cannot be read as JSON"):
+            self._apply("maybe try increasing the sample count?")
 
     def test_edge_target_form(self):
         mutation = parse_proposal_line("remove_edge left.value->joinpoint.a")
@@ -288,9 +277,7 @@ class TestProposeRevision:
             outputs={"passed": ("m", "passed")},
             name="baseline",
         )
-        judge = self._judge('edit_param m {"key": "n", "value": 6}')
-        [proposal] = propose_revision(graph, {"entries": []}, {"coverage": 0.5}, judge)
-        revised = mutate(graph, proposal)
+        revised = mutate(graph, parse_proposal_line('edit_param m {"key": "n", "value": 6}'))
         ctx = ExecutionContext(
             solvers={"s": ScriptedSolver("s", {"*": [("yes", 0.5), ("no", 0.5)]}, rng_seed=3)}
         )
@@ -326,13 +313,9 @@ class TestAbTest:
         assert abs(big - (1 - 0.5**5)) < 0.1
 
     def test_empty_tasks_rejected(self):
-        from quorum.errors import ConfigurationError
-
         with pytest.raises(ConfigurationError):
             ab_test([self._variant(1, "a"), self._variant(2, "b")], [])
 
     def test_needs_two_variants(self):
-        from quorum.errors import ConfigurationError
-
         with pytest.raises(ConfigurationError):
             ab_test([self._variant(1, "a")], [{"id": "t", "prompt": "?", "answer_kind": "text"}])
