@@ -7,14 +7,12 @@ bit-reproducible functions of (rng_seed, task_id, seed).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+import random
+from typing import Callable, Optional, Sequence
 
 from ..errors import ConfigurationError, integer, json_object, list_of, number, string
 from ..seeds import rng_for, uniform_for
 from .base import SolverError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_KEY = "*"
 PROB_TOL = 1e-9
@@ -137,7 +135,7 @@ class TransformSolver:
 
     deterministic_timing = True
 
-    def __init__(self, id: str, fn: Callable[[str, np.random.Generator], str], rng_seed: int = 0):
+    def __init__(self, id: str, fn: Callable[[str, random.Random], str], rng_seed: int = 0):
         self.id = id
         self.fn = fn
         self.rng_seed = rng_seed

@@ -137,9 +137,7 @@ def parse_dsl(text: str) -> DslProgram:
             args.append(int(part))
         _check_static(name, args, line, column)
         ops.append(Op(name, tuple(args)))
-    if len(ops) > MAX_OPS:
-        raise DslSyntaxError(f"program has {len(ops)} ops, limit is {MAX_OPS}", 1, 1)
-    return DslProgram(tuple(ops))
+    return DslProgram(tuple(ops))  # DslProgram enforces MAX_OPS
 
 
 def _check_static(name: str, args: list[int], line: int, column: int):

@@ -39,12 +39,10 @@ def arc_eval_printed_max() -> dict[str, bool]:
     return {r["task"]: r["max"] for r in data["rows"]}
 
 
-def olympiad_matrix(include_agent_graph: bool = True) -> ResultMatrix:
+def olympiad_matrix() -> ResultMatrix:
     """Nine tasks x methods matrix with elapsed milliseconds."""
     data = load_fixture("olympiad_methods")
-    columns = list(data["method_columns"])
-    if not include_agent_graph:
-        columns = [c for c in columns if c != "agent_graph"]
+    columns = data["method_columns"]
     task_ids = [t["id"] for t in data["tasks"]]
     solved, elapsed = [], []
     for task_id in task_ids:

@@ -9,14 +9,12 @@ reproduces it bit for bit regardless of the policy that produced it.
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..errors import ConfigurationError
 from ..seeds import rng_for
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -72,11 +70,11 @@ class Trajectory:
         )
 
 
-Policy = Callable[[tuple, Sequence, "np.random.Generator"], object]
+Policy = Callable[[tuple, Sequence, random.Random], object]
 
 
-def random_policy(state, actions, rng: np.random.Generator):
-    return actions[int(rng.integers(len(actions)))]
+def random_policy(state, actions, rng: random.Random):
+    return actions[int(rng.random() * len(actions))]
 
 
 def scripted_policy(moves: Sequence) -> Policy:

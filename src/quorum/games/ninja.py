@@ -42,7 +42,7 @@ def ninja_game(n: int, coloring: tuple[int, ...] | None = None) -> GameSpec:
         raise ConfigurationError(f"coloring needs {n} entries")
 
     def initial_state(rng):
-        cols = coloring if coloring is not None else tuple(int(rng.integers(i + 1)) for i in range(n))
+        cols = coloring if coloring is not None else tuple(int(rng.random() * (i + 1)) for i in range(n))
         # state: (coloring, row, position); row -1 = before entering the top
         return (cols, -1, 0)
 

@@ -190,7 +190,7 @@ def turbo_game(rows: int, cols: int, end_on_collision: bool = True) -> GameSpec:
     placements = all_placements(rows, cols)
 
     def initial_state(rng):
-        placement = placements[int(rng.integers(len(placements)))]
+        placement = placements[int(rng.random() * len(placements))]
         return (None, frozenset(), 0, placement, False)
 
     def legal_actions(state):

@@ -58,8 +58,6 @@ def ab_test(
     variants: Sequence[PipelineGraph],
     tasks: Sequence,
     ctx: Optional[ExecutionContext] = None,
-    input_name: str = "task",
-    output_name: str = "passed",
 ):
     """Run every variant on every task; one result-matrix column per variant.
 
@@ -81,6 +79,6 @@ def ab_test(
         raise ConfigurationError(f"graphs named {', '.join(repr(v.name) for v in variants)} repeat the column "
                                  f"name(s) {', '.join(map(repr, clashes))}; rename a graph")
     task_ids = [getattr(task, "id", None) or task["id"] for task in tasks]
-    solved = [[bool(execute(variant, {input_name: task}, ctx)[0].get(output_name)) for variant in variants]
+    solved = [[bool(execute(variant, {"task": task}, ctx)[0].get("passed")) for variant in variants]
               for task in tasks]
     return ResultMatrix(task_ids, names, solved)

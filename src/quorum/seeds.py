@@ -9,10 +9,7 @@ never perturbs the streams of its siblings.
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
+import random
 
 _MASK64 = (1 << 64) - 1
 
@@ -27,16 +24,18 @@ def derive_seed(root: int, *labels: object) -> int:
     return int.from_bytes(h.digest()[:8], "big")
 
 
-def rng_for(root: int, *labels: object) -> np.random.Generator:
-    """A numpy Generator seeded from the derived stream id."""
-    import numpy as np  # loaded on first use: most commands never draw from a Generator
+def rng_for(root: int, *labels: object) -> random.Random:
+    """A ``random.Random`` seeded from the derived stream id.
 
-    return np.random.default_rng(derive_seed(root, *labels))
+    Draw only through ``random()``: for an int seed it is the one method
+    whose sequence CPython keeps across versions.
+    """
+    return random.Random(derive_seed(root, *labels))
 
 
 def uniform_for(root: int, *labels: object) -> float:
     """One uniform draw in [0, 1) as a pure function of the label path.
 
-    Cheaper than building a Generator when a single variate is needed.
+    Cheaper than building a ``Random`` when a single variate is needed.
     """
     return derive_seed(root, *labels) / float(1 << 64)

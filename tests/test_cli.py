@@ -537,10 +537,10 @@ class TestGameCli:
     def test_simulation_attached(self, tmp_path, capsys):
         # Each exact game simulates its own encoding; the rewards are pinned.
         for argv, rewards in [
-            (["coinflip", "2", "3"], [990, 982, 994, 976]),
-            (["sequence", "4"], [3.0, 1.0, 3.0, 1.0]),
-            (["ninja", "6"], [4.0, 1.0, 2.0, 2.0]),
-            (["turbo", "4", "3"], [-1.02, -1.02, -1.11, -1.01]),
+            (["coinflip", "2", "3"], [996, 974, 960, 936]),
+            (["sequence", "4"], [2.0, 2.0, 2.0, 2.0]),
+            (["ninja", "6"], [3.0, 1.0, 3.0, 1.0]),
+            (["turbo", "4", "3"], [-1.02, -1.04, -1.06, -1.07]),
         ]:
             out = tmp_path / f"{argv[0]}.json"
             assert main(["--seed", "3", "game", *argv, "--simulate", "4", "--out", str(out)]) == 0

@@ -1,10 +1,11 @@
-"""Cold start: numpy and requests load only when a command uses them.
+"""Cold start: no command needs numpy, and requests loads only when used.
 
 Each check runs in a fresh interpreter, since this one has imported both
-long ago.  A command that needs neither (puzzle verification, a graph
+long ago.  The interpreter blocks ``import numpy``, so a command that
+exits 0 there shows that numpy is not needed, not only that it was not
+loaded.  A command that needs no HTTP (puzzle verification, a graph
 without solvers, a scripted sweep of reference-answer or game-answer
-tasks, an exact game value) must not pay for them; numpy loads at the
-first seeded Generator, which a game simulation draws from.
+tasks, an exact game value or its simulation) must not pay for requests.
 """
 
 import json
@@ -15,14 +16,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Prints, as JSON, which of numpy and requests are loaded after importing
-# quorum.cli and after each command given as a JSON list of argv lists.
+# With numpy blocked, prints as JSON each command's exit code and whether
+# requests is loaded, after importing quorum.cli and after each command
+# given as a JSON list of argv lists.
 PROBE = """
 import json, sys
+sys.modules["numpy"] = None  # every import of numpy now raises ImportError
 from quorum.cli import main
 
 def loaded():
-    return [name for name in ("numpy", "requests") if name in sys.modules]
+    return [name for name in ("requests",) if name in sys.modules]
 
 points = [["import", 0, loaded()]]
 for argv in json.loads(sys.argv[1]):
@@ -98,8 +101,9 @@ def test_game_answer_sweep_loads_neither_numpy_nor_requests(tmp_path):
     assert _scripted_sweep(tmp_path, task, ["3", "4"]) == []
 
 
-def test_game_value_loads_numpy_only_to_simulate(tmp_path):
+def test_game_value_and_simulation_load_neither_numpy_nor_requests(tmp_path):
+    # A simulation draws from the standard library's seeded random.Random.
     points = _probe([["game", "ninja", "6"], ["game", "coinflip", "4", "5"],
                      ["game", "ninja", "6", "--simulate", "1"]], tmp_path)
     assert points == [["import", 0, []], ["game ninja", 0, []], ["game coinflip", 0, []],
-                      ["game ninja", 0, ["numpy"]]]
+                      ["game ninja", 0, []]]

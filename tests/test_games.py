@@ -8,6 +8,7 @@ import pytest
 
 from quorum.errors import ConfigurationError, IntractableError
 from quorum.games import (
+    EXACT_GAMES,
     TurboKnowledge,
     UnwinnableError,
     all_placements,
@@ -29,7 +30,7 @@ from quorum.games import (
     turbo_game,
     turbo_min_attempts,
 )
-from quorum.seeds import rng_for
+from quorum.seeds import derive_seed, rng_for
 
 
 class TestCoinflip:
@@ -48,7 +49,7 @@ class TestCoinflip:
             coinflip_solvable(5, 5)
 
     def test_parity_invariant_along_random_play(self):
-        rng = rng_for(0, "coinflip-invariant")
+        rng = np.random.default_rng(derive_seed(0, "coinflip-invariant"))
         for _ in range(200):
             m, n = int(rng.integers(2, 5)), int(rng.integers(2, 5))
             masks = move_masks(m, n)
@@ -220,12 +221,6 @@ class TestTurbo:
         [trajectory] = simulate(game, scripted_policy(walk), episodes=1, seed=7)
         assert trajectory.total_reward == pytest.approx(30.0 - 0.02)
 
-    def test_replay_reproduces_trajectory(self):
-        game = turbo_game(4, 3)
-        trajectories = simulate(game, random_policy, episodes=5, seed=3)
-        for trajectory in trajectories:
-            assert replay(game, trajectory).to_json() == trajectory.to_json()
-
 
 def _walk_level_turbo(rows, cols):
     """Independent oracle: explicit visited-cell minimax, no deduction.
@@ -361,7 +356,31 @@ class TestSequenceDifferential:
 
 
 class TestSimulateGeneric:
+    # One small instance of each exact game's simulation encoding.
+    INSTANCES = {"turbo": (4, 3), "coinflip": (2, 3), "sequence": (4,), "ninja": (6,)}
+
+    def _game(self, name):
+        exact = EXACT_GAMES[name]
+        return exact.build(**dict(zip(exact.params, self.INSTANCES[name])))
+
     def test_illegal_action_flagged(self):
         game = coinflip_game(2, 2)
         [trajectory] = simulate(game, scripted_policy([(9, 9, "tr")]), episodes=1, seed=0)
         assert trajectory.error and "illegal action" in trajectory.error
+
+    def test_every_exact_game_has_an_instance(self):
+        assert sorted(self.INSTANCES) == sorted(EXACT_GAMES)
+
+    @pytest.mark.parametrize("name", sorted(EXACT_GAMES))
+    def test_replay_reproduces_trajectory(self, name):
+        game = self._game(name)
+        trajectories = simulate(game, random_policy, episodes=5, seed=3)
+        for trajectory in trajectories:
+            assert replay(game, trajectory).to_json() == trajectory.to_json()
+
+    @pytest.mark.parametrize("name", sorted(EXACT_GAMES))
+    def test_same_seed_same_record(self, name):
+        game = self._game(name)
+        a = simulate(game, random_policy, episodes=5, seed=11)
+        b = simulate(self._game(name), random_policy, episodes=5, seed=11)
+        assert [t.to_json() for t in a] == [t.to_json() for t in b]

@@ -1,5 +1,6 @@
 """Pipeline graphs: execution, tracing, mutation, proposal lines, A/B."""
 
+import numpy as np
 import pytest
 
 from quorum.adapters import ScriptedSolver
@@ -18,7 +19,7 @@ from quorum.graph import (
     parse_proposal_line,
 )
 from quorum.errors import ConfigurationError
-from quorum.seeds import rng_for
+from quorum.seeds import derive_seed
 
 
 def _passthrough_graph():
@@ -193,7 +194,7 @@ class TestMutate:
         assert emptied.data["examples"] == ()
 
     def test_random_mutation_sequences_never_accept_cycles(self):
-        rng = rng_for(0, "mutation-fuzz")
+        rng = np.random.default_rng(derive_seed(0, "mutation-fuzz"))
         graph = _diamond_graph()
         kinds = ["add_edge", "remove_edge", "add_node", "remove_node", "edit_param"]
         accepted = 0
