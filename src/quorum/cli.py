@@ -30,8 +30,8 @@ from .arc.augment import augment, leave_one_out
 from .arc.dsl import parse_dsl
 from .arc.programs import ExternalProgram, predict, verify_program
 from .arc.task import ArcTask
-from .core.model import Task
-from .core.runstore import CellRecord, RunRecord, RunStore
+from .core.model import Candidate, Task, Verdict
+from .core.runstore import CellRecord, RunStore
 from .errors import (ConfigurationError, DslSyntaxError, IntractableError, QuorumError, integer, json_object,
                      list_of, parse_json, read_json, string)
 from .graph.execute import execute
@@ -109,29 +109,41 @@ def cmd_eval(args) -> int:
         for sid in sorted(solvers):
             columns.append((mc, sid, f"{label}@{sid}"))
 
-    def run_cell(cell) -> CellRecord:
-        task, (mc, sid, col) = cell
-        result, verdict = run_method(mc, solvers[sid], task, seed=derive_seed(seed, task.id, sid, mc.method_id))
+    failures = []  # (position, cause) of each cell that raised, appended from any worker thread
+
+    def run_cell(numbered) -> CellRecord:
+        position, (task, (mc, sid, col)) = numbered
+        cell_seed = derive_seed(seed, task.id, sid, mc.method_id)
+        try:
+            result, verdict = run_method(mc, solvers[sid], task, seed=cell_seed)
+            candidate, trace = result.candidate, result.trace.to_json()
+        except ConfigurationError:
+            raise
+        except Exception as exc:  # one bad cell becomes an error cell naming its cause; the sweep goes on
+            cause = f"internal error: {type(exc).__name__}: {exc}"
+            failures.append((position, f"{task.id} {col}: {cause}"))
+            candidate = Candidate(answer=None, solver_id=sid, method_id=mc.method_id, seed=cell_seed,
+                                  elapsed_ms=0, error=cause)
+            verdict, trace = Verdict.errored(cause), None
         return CellRecord(
             task_id=task.id,
             solver_id=col,
-            candidate=result.candidate,
+            candidate=candidate,
             verdict=verdict,
             ts_ms=0 if deterministic else int(time.time() * 1000),
-            trace=result.trace.to_json(),
+            trace=trace,
         )
 
-    # Both mappers yield in (task, column) order, so the record is canonical.
-    cells = product(tasks, columns)
+    # Both mappers yield in (task, column) order, so the record is canonical,
+    # and the store writes each cell as it comes.
+    cells = enumerate(product(tasks, columns))
     if deterministic or (args.parallel or 1) <= 1:
-        record = RunRecord(run_id, config_snapshot, list(map(run_cell, cells)))
+        matrix = store.record_run(run_id, config_snapshot, map(run_cell, cells))
     else:
         with ThreadPoolExecutor(max_workers=args.parallel) as pool:
-            record = RunRecord(run_id, config_snapshot, list(pool.map(run_cell, cells)))
+            matrix = store.record_run(run_id, config_snapshot, pool.map(run_cell, cells))
 
-    store.record_run(record)
     run_dir = out_root / run_id
-    matrix = record.to_matrix()
     table = render_matrix(matrix)
     (run_dir / "matrix.txt").write_text(table)
     curve = coverage_curve(matrix)
@@ -142,6 +154,10 @@ def cmd_eval(args) -> int:
     print(table)
     print(f"success rate (any column): {success_rate(matrix):.4f}")
     print(f"run: {run_id} -> {run_dir}")
+    if failures:
+        print(f"internal error in {len(failures)} of {len(tasks) * len(columns)} cell(s); "
+              f"first: {min(failures)[1]}", file=sys.stderr)
+        return EXIT_INTERNAL
     return EXIT_OK
 
 

@@ -2,9 +2,13 @@
 
 A run is a directory: ``config.json`` (the configuration snapshot) and
 ``record.jsonl`` with one JSON object per (task, solver) cell.
-``record.jsonl`` is written whole, to ``record.jsonl.tmp`` and then
-renamed over it, so it never holds part of a run; loading a run
-rebuilds the result matrix bit-exactly.
+``config.json`` is written before the first cell. The cells stream, in
+canonical (task, column) order, to ``record.jsonl.tmp``, one line as
+each arrives; the file is renamed over ``record.jsonl`` only after the
+last cell, so ``record.jsonl`` never holds part of a run, and a
+``record.jsonl.tmp`` left behind holds the cells of an interrupted run
+that finished before it stopped. Loading a run rebuilds the result
+matrix bit-exactly.
 Field names in the files are part of the stable interface:
 
 cell object keys: ``task_id``, ``solver_id``, ``ts_ms``, ``candidate``,
@@ -21,7 +25,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 from ..aggregate.matrix import ResultMatrix
 from ..errors import ConfigurationError, QuorumError, RecordParseError, json_object, read_json
@@ -113,28 +117,35 @@ class CellRecord:
         )
 
 
+def _matrix(outcomes: list[tuple]) -> ResultMatrix:
+    """The task x solver boolean matrix of ``(task_id, solver_id, solved,
+    elapsed_ms)`` outcomes, ids in first-seen order."""
+    rows, columns = {}, {}  # id -> index, in first-seen order
+    for task_id, solver_id, _, _ in outcomes:
+        rows.setdefault(task_id, len(rows))
+        columns.setdefault(solver_id, len(columns))
+    solved = [[False] * len(columns) for _ in rows]
+    elapsed = [[None] * len(columns) for _ in rows]
+    for task_id, solver_id, is_pass, elapsed_ms in outcomes:
+        i, k = rows[task_id], columns[solver_id]
+        solved[i][k] = is_pass
+        elapsed[i][k] = elapsed_ms
+    return ResultMatrix(list(rows), list(columns), solved, elapsed)
+
+
+def _outcome(cell: CellRecord) -> tuple:
+    return cell.task_id, cell.solver_id, cell.verdict.is_pass, cell.candidate.elapsed_ms
+
+
 @dataclass
 class RunRecord:
     run_id: str
     config: dict
     cells: list[CellRecord] = field(default_factory=list)
 
-    def add(self, cell: CellRecord):
-        self.cells.append(cell)
-
     def to_matrix(self) -> ResultMatrix:
         """Rebuild the task x solver boolean matrix from the cells."""
-        rows, columns = {}, {}  # id -> index, in first-seen order
-        for cell in self.cells:
-            rows.setdefault(cell.task_id, len(rows))
-            columns.setdefault(cell.solver_id, len(columns))
-        solved = [[False] * len(columns) for _ in rows]
-        elapsed = [[None] * len(columns) for _ in rows]
-        for cell in self.cells:
-            i, k = rows[cell.task_id], columns[cell.solver_id]
-            solved[i][k] = cell.verdict.is_pass
-            elapsed[i][k] = cell.candidate.elapsed_ms
-        return ResultMatrix(list(rows), list(columns), solved, elapsed)
+        return _matrix([_outcome(cell) for cell in self.cells])
 
 
 class RunStore:
@@ -147,19 +158,26 @@ class RunStore:
     def _dir(self, run_id: str) -> Path:
         return self.root / run_id
 
-    def record_run(self, record: RunRecord) -> str:
-        run_dir = self._dir(record.run_id)
+    def record_run(self, run_id: str, config: dict, cells: Iterable[CellRecord]) -> ResultMatrix:
+        """Store a run whose cells arrive in canonical (task, column) order
+        and return its result matrix. Each cell is appended to
+        ``record.jsonl.tmp`` as it arrives, and only its outcome is kept; an
+        exception from ``cells`` leaves the lines written so far in the tmp
+        file and no ``record.jsonl``."""
+        run_dir = self._dir(run_id)
         run_dir.mkdir(parents=True, exist_ok=True)
         with open(run_dir / "config.json", "w") as fh:
-            json.dump(record.config, fh, indent=2, sort_keys=True)
+            json.dump(config, fh, indent=2, sort_keys=True)
             fh.write("\n")
         tmp = run_dir / "record.jsonl.tmp"
+        outcomes = []
         with open(tmp, "w") as fh:
-            for cell in record.cells:
+            for cell in cells:
                 fh.write(json.dumps(cell.to_json(), sort_keys=True))
                 fh.write("\n")
+                outcomes.append(_outcome(cell))
         os.replace(tmp, run_dir / "record.jsonl")
-        return record.run_id
+        return _matrix(outcomes)
 
     def load_run(self, run_id: str) -> RunRecord:
         """The stored run; a missing run raises FileNotFoundError, and a

@@ -1,5 +1,6 @@
 """Command-line interface: sweeps, puzzle commands, games, graphs."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -414,22 +415,143 @@ def test_golden_record_digest(tmp_path):
     writes the same record.jsonl bytes in fresh interpreters, whatever the
     string-hash seed."""
     root = Path(__file__).resolve().parents[1]
-    (tmp_path / "tasks.json").write_text(json.dumps(GOLDEN_TASKS))
-    (tmp_path / "config.json").write_text(json.dumps({**GOLDEN_CONFIG, "tasks": str(tmp_path / "tasks.json")}))
+    config = _golden_config(tmp_path)
     digests = []
     for hash_seed in ("0", "4242"):
         out = tmp_path / f"runs-{hash_seed}"
         env = dict(os.environ, PYTHONHASHSEED=hash_seed)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
         result = subprocess.run(
-            [sys.executable, "-m", "quorum.cli", "eval", "--config", str(tmp_path / "config.json"),
-             "--out", str(out)],
+            [sys.executable, "-m", "quorum.cli", "eval", "--config", str(config), "--out", str(out)],
             capture_output=True, text=True, env=env,
         )
         assert result.returncode == 0, result.stderr
         [run_dir] = [p for p in out.iterdir() if p.name.startswith("run-")]
         digests.append(sha256((run_dir / "record.jsonl").read_bytes()).hexdigest())
     assert digests == [GOLDEN_RECORD_SHA256] * 2
+
+
+def _golden_config(tmp_path) -> Path:
+    (tmp_path / "tasks.json").write_text(json.dumps(GOLDEN_TASKS))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**GOLDEN_CONFIG, "tasks": str(tmp_path / "tasks.json")}))
+    return path
+
+
+def _run_dir(out: Path) -> Path:
+    [run_dir] = [p for p in out.iterdir() if p.name.startswith("run-")]
+    return run_dir
+
+
+def test_cell_that_raises_is_an_error_cell_and_the_run_exits_3(tmp_path, capsys, monkeypatch):
+    import quorum.cli
+
+    config = _golden_config(tmp_path)
+    assert main(["eval", "--config", str(config), "--out", str(tmp_path / "clean")]) == 0
+    clean = (_run_dir(tmp_path / "clean") / "record.jsonl").read_text().splitlines()
+    run_method = quorum.cli.run_method
+
+    def faulty(mc, solver, task, seed):
+        if task.id == "r-int" and mc.method_id == "mcts":
+            raise RuntimeError("boom")
+        return run_method(mc, solver, task, seed=seed)
+
+    monkeypatch.setattr(quorum.cli, "run_method", faulty)
+    capsys.readouterr()
+    assert main(["eval", "--config", str(config), "--out", str(tmp_path / "faulty")]) == 3
+    err = capsys.readouterr().err
+    cause = "internal error: RuntimeError: boom"
+    assert f"internal error in 3 of 162 cell(s); first: r-int mcts@alpha: {cause}" in err
+    run_dir = _run_dir(tmp_path / "faulty")
+    lines = (run_dir / "record.jsonl").read_text().splitlines()
+    assert len(lines) == len(clean) == 6 * 9 * 3
+    errors = 0
+    for line, clean_line in zip(lines, clean):
+        cell, clean_cell = json.loads(line), json.loads(clean_line)
+        if (cell["task_id"], cell["solver_id"].split("@")[0]) != ("r-int", "mcts"):
+            assert line == clean_line
+            continue
+        errors += 1
+        assert "trace" not in cell and cell["verdict"] == {"status": "error", "detail": cause, "checks": []}
+        assert cell["candidate"] == {**clean_cell["candidate"], "answer_kind": None, "answer": None,
+                                     "elapsed_ms": 0, "rationale": None, "error": cause}
+    assert errors == 3
+    matrix, expected = (json.loads((d / "matrix.json").read_text()) for d in (run_dir, _run_dir(tmp_path / "clean")))
+    i = expected["task_ids"].index("r-int")
+    for k, column in enumerate(expected["solver_ids"]):
+        if column.startswith("mcts@"):
+            expected["solved"][i][k], expected["elapsed_ms"][i][k] = 0, 0
+    assert matrix == expected
+
+
+def test_configuration_error_inside_a_cell_is_exit_2(eval_setup, capsys, monkeypatch):
+    # A reply-cache miss with no API key set stops the run; it is not an error cell.
+    monkeypatch.delenv("QUORUM_TEST_UNSET_KEY", raising=False)
+    config_file, tmp_path = eval_setup
+    config = json.loads(config_file.read_text())
+    config["solvers"] = [{"id": "m", "kind": "http-model", "params": {
+        "base_url": "http://127.0.0.1:9", "model": "m", "api_key_env": "QUORUM_TEST_UNSET_KEY"}}]
+    config_file.write_text(json.dumps(config))
+    assert main(["eval", "--config", str(config_file), "--out", str(tmp_path / "r")]) == 2
+    assert "QUORUM_TEST_UNSET_KEY" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", [0, 100])
+def test_interrupted_run_leaves_its_first_cells_and_a_rerun_completes_it(tmp_path, monkeypatch, k):
+    import quorum.cli
+
+    config = _golden_config(tmp_path)
+    argv = ["eval", "--config", str(config), "--out", str(tmp_path / "runs")]
+    run_method, calls = quorum.cli.run_method, itertools.count()
+
+    def interrupted(*args, **kwargs):
+        if next(calls) == k:
+            raise KeyboardInterrupt
+        return run_method(*args, **kwargs)
+
+    monkeypatch.setattr(quorum.cli, "run_method", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(argv)
+    run_dir = _run_dir(tmp_path / "runs")
+    assert (run_dir / "config.json").exists() and not (run_dir / "record.jsonl").exists()
+    partial = (run_dir / "record.jsonl.tmp").read_bytes()
+
+    monkeypatch.undo()
+    assert main(argv) == 0
+    record = (run_dir / "record.jsonl").read_bytes()
+    assert sha256(record).hexdigest() == GOLDEN_RECORD_SHA256
+    assert partial.splitlines(keepends=True) == record.splitlines(keepends=True)[:k]
+    assert not (run_dir / "record.jsonl.tmp").exists()
+
+
+def test_eval_holds_at_most_two_cell_records_at_once(tmp_path, monkeypatch):
+    import weakref
+
+    import quorum.cli
+
+    alive, counts = weakref.WeakSet(), []
+
+    class CountedCellRecord(quorum.cli.CellRecord):
+        __eq__, __hash__ = object.__eq__, object.__hash__  # by identity: the trace dict is unhashable
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            alive.add(self)
+            counts.append(len(alive))
+
+    monkeypatch.setattr(quorum.cli, "CellRecord", CountedCellRecord)
+    tasks = [{"id": f"t{i}", "category": "", "prompt": "?", "answer_kind": "choice", "reference": "A"}
+             for i in range(60)]
+    (tmp_path / "tasks.json").write_text(json.dumps(tasks))
+    config = {
+        "solvers": [{"id": sid, "kind": "scripted", "params": {"table": {"*": [["A", 0.5], ["B", 0.5]]},
+                                                              "rng_seed": i}} for i, sid in enumerate("xy")],
+        "methods": [{"method_id": "zero_shot"}, {"method_id": "best_of_n", "n": 2}],
+        "tasks": str(tmp_path / "tasks.json"),
+    }
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    assert main(["eval", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "r")]) == 0
+    assert len(counts) == 60 * 2 * 2 and max(counts) <= 2
 
 
 class TestArcCli:

@@ -10,7 +10,6 @@ from quorum.core import (
     Candidate,
     CellRecord,
     Check,
-    RunRecord,
     RunStore,
     Task,
     Verdict,
@@ -312,27 +311,41 @@ class TestVerifyOncePerAnswer:
 
 
 class TestRunStore:
-    def _record(self, run_id="r1", n_tasks=2, n_solvers=2):
-        record = RunRecord(run_id, {"note": "test", "seed": 0})
+    CONFIG = {"note": "test", "seed": 0}
+
+    def _cells(self, n_tasks=2, n_solvers=2):
         for i in range(n_tasks):
             for k in range(n_solvers):
                 cand = _candidate(str(i + k), solver_id=f"s{k}")
                 verdict = verify(_task(task_id=f"t{i}", reference=str(2 * i)), cand)
-                record.add(CellRecord(f"t{i}", f"s{k}", cand, verdict, ts_ms=0))
-        return record
+                yield CellRecord(f"t{i}", f"s{k}", cand, verdict, ts_ms=0)
+
+    def _store(self, tmp_path):
+        store = RunStore(tmp_path)
+        store.record_run("r1", self.CONFIG, list(self._cells()))
+        return store
 
     def test_round_trip_identity(self, tmp_path):
         store = RunStore(tmp_path)
-        record = self._record()
-        store.record_run(record)
+        cells = list(self._cells())
+        matrix = store.record_run("r1", self.CONFIG, cells)
         loaded = store.load_run("r1")
-        assert loaded.run_id == record.run_id
-        assert loaded.config == record.config
-        assert loaded.cells == record.cells
+        assert loaded.run_id == "r1"
+        assert loaded.config == self.CONFIG
+        assert loaded.cells == cells
+        assert loaded.to_matrix() == matrix
+
+    def test_cells_from_a_generator_are_stored_as_from_a_list(self, tmp_path):
+        listed, streamed = RunStore(tmp_path / "listed"), RunStore(tmp_path / "streamed")
+        matrix = listed.record_run("r1", self.CONFIG, list(self._cells(3, 2)))
+        assert streamed.record_run("r1", self.CONFIG, self._cells(3, 2)) == matrix
+        assert matrix.task_ids == ["t0", "t1", "t2"] and matrix.solver_ids == ["s0", "s1"]
+        for name in ("config.json", "record.jsonl"):
+            assert (tmp_path / "streamed/r1" / name).read_bytes() == (tmp_path / "listed/r1" / name).read_bytes()
+        assert not (tmp_path / "streamed/r1/record.jsonl.tmp").exists()
 
     def test_truncated_file_reports_byte_offset(self, tmp_path):
-        store = RunStore(tmp_path)
-        store.record_run(self._record())
+        store = self._store(tmp_path)
         path = tmp_path / "r1" / "record.jsonl"
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 30])
@@ -343,8 +356,7 @@ class TestRunStore:
     @pytest.mark.parametrize("content", [b"\xff", b"{", b"[" * 100_000, b"[1]"],
                              ids=["not-utf8", "not-json", "too-deep", "not-an-object"])
     def test_corrupt_config_is_a_record_parse_error(self, tmp_path, content):
-        store = RunStore(tmp_path)
-        store.record_run(self._record())
+        store = self._store(tmp_path)
         (tmp_path / "r1" / "config.json").write_bytes(content)
         with pytest.raises(RecordParseError) as excinfo:
             store.load_run("r1")
@@ -352,8 +364,7 @@ class TestRunStore:
 
     @pytest.mark.parametrize("edit", ["too-deep", "candidate-not-an-object", "answer-not-of-its-kind"])
     def test_corrupt_cell_line_is_a_record_parse_error(self, tmp_path, edit):
-        store = RunStore(tmp_path)
-        store.record_run(self._record())
+        store = self._store(tmp_path)
         path = tmp_path / "r1" / "record.jsonl"
         first, *rest = path.read_text().splitlines(keepends=True)
         cell = json.loads(rest[0])
@@ -373,7 +384,7 @@ class TestRunStore:
 
         data = load_fixture("olympiad_methods")
         methods = [m for m in data["method_columns"] if m != "agent_graph"]
-        record = RunRecord("fixture-run", {})
+        cells = []
         for task_id, row in data["cells"].items():
             for method in methods:
                 cell = row[method]
@@ -389,9 +400,9 @@ class TestRunStore:
                     if cell["solved"]
                     else Verdict.failed([Check("fixture", False)])
                 )
-                record.add(CellRecord(task_id, method, cand, verdict, ts_ms=0))
+                cells.append(CellRecord(task_id, method, cand, verdict, ts_ms=0))
         store = RunStore(tmp_path)
-        store.record_run(record)
+        store.record_run("fixture-run", {}, cells)
         loaded = store.load_run("fixture-run")
         matrix = loaded.to_matrix()
         assert matrix.n_tasks == 9 and matrix.n_solvers == 8
