@@ -1,6 +1,6 @@
 from .coverage import ORDERINGS, CoverageCurve, coverage_curve
 from .matrix import ResultMatrix, or_aggregate, success_rate
-from .render import parse_matrix, render_matrix, table_name
+from .render import render_matrix, table_name
 
 __all__ = [
     "ORDERINGS",
@@ -9,7 +9,6 @@ __all__ = [
     "ResultMatrix",
     "or_aggregate",
     "success_rate",
-    "parse_matrix",
     "render_matrix",
     "table_name",
 ]

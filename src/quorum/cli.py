@@ -20,6 +20,7 @@ import hashlib
 import json
 import sys
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 from pathlib import Path
@@ -78,6 +79,23 @@ def _load_task_entries(path) -> tuple[dict, ...]:
             raise ConfigurationError(f"{path}: two tasks have the id {task_id!r}")
         ids.add(task_id)
     return entries
+
+
+def _ordered_map(pool, fn, items, window: int):
+    """``map(fn, items)`` on ``pool``, in order, with at most ``window``
+    calls submitted but not yet taken by the consumer; the calls not
+    yet started are cancelled when one raises or the generator is closed."""
+    pending = deque()
+    try:
+        for item in items:
+            if len(pending) == window:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, item))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
 
 
 def cmd_eval(args) -> int:
@@ -141,7 +159,8 @@ def cmd_eval(args) -> int:
         matrix = store.record_run(run_id, config_snapshot, map(run_cell, cells))
     else:
         with ThreadPoolExecutor(max_workers=args.parallel) as pool:
-            matrix = store.record_run(run_id, config_snapshot, pool.map(run_cell, cells))
+            matrix = store.record_run(run_id, config_snapshot,
+                                      _ordered_map(pool, run_cell, cells, 2 * args.parallel))
 
     run_dir = out_root / run_id
     table = render_matrix(matrix)

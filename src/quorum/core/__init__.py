@@ -1,5 +1,5 @@
 from .answers import ANSWER_KINDS, AnswerValue, normalize_answer
-from .model import Candidate, Check, Task, Verdict, VerifierBinding, register_verifier
+from .model import Candidate, Check, Task, Verdict, VerifierBinding
 from .runstore import CellRecord, RunRecord, RunStore
 from .verify import verify
 
@@ -15,6 +15,5 @@ __all__ = [
     "CellRecord",
     "RunRecord",
     "RunStore",
-    "register_verifier",
     "verify",
 ]

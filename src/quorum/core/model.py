@@ -9,28 +9,10 @@ from typing import Callable, Optional
 from ..errors import ConfigurationError, MalformedAnswerError, QuorumError, json_object, string
 from .answers import ANSWER_KINDS, AnswerValue, normalize_answer
 
-# verifier kind -> bind(params, answer_kind, task_id) -> check
-_VERIFIERS: dict[str, Callable] = {}
-
-
-def register_verifier(kind: str, bind: Callable) -> None:
-    """``bind(params, answer_kind, task_id)`` runs once, when a task is
-    built.  It raises ConfigurationError for a binding the verifier cannot
-    run, and returns the task's ``check(candidate) -> Verdict`` with all
-    task-only work already done, any setting it needs (a time bound, say)
-    read from ``params``.
-
-    The check must depend only on ``candidate.answer``: the task calls it
-    at most once per distinct answer and hands every later candidate with
-    that answer the stored verdict.  The check is shared between threads,
-    so it holds only immutable state; the task's memo of verdicts is the
-    one piece of mutable state those threads share."""
-    _VERIFIERS[kind] = bind
-
-
 @dataclass(frozen=True)
 class VerifierBinding:
-    """Reference to a registered verifier plus its parameters."""
+    """Reference to one of the built-in verifiers (``verify.VERIFIERS``)
+    plus its parameters."""
 
     kind: str
     params: dict = field(default_factory=dict)
@@ -63,9 +45,11 @@ class Task:
             )
         check = None
         if self.verifier is not None:
-            if self.verifier.kind not in _VERIFIERS:
+            from .verify import VERIFIERS  # verify imports this module
+
+            if self.verifier.kind not in VERIFIERS:
                 raise ConfigurationError(f"unknown verifier kind {self.verifier.kind!r}")
-            check = _VERIFIERS[self.verifier.kind](self.verifier.params, self.answer_kind, self.id)
+            check = VERIFIERS[self.verifier.kind](self.verifier.params, self.answer_kind, self.id)
         elif self.reference is not None:
             check = partial(check_reference, self.reference)
         if check is not None:

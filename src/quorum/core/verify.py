@@ -2,9 +2,10 @@
 
 ``verify`` is pure and deterministic: for a given (task, candidate) pair
 it always returns the same verdict.  A task binds its check once, when it
-is built: a registered verifier (puzzle train-pair execution, exact game
-values) or its reference answer compared after normalization.  Tasks with
-neither are unverifiable and yield an error verdict rather than a guess.
+is built: one of the built-in verifiers in ``VERIFIERS`` (puzzle
+train-pair execution, exact game values) or its reference answer
+compared after normalization.  Tasks with neither are unverifiable and
+yield an error verdict rather than a guess.
 
 A bound check depends only on ``candidate.answer``, so the task runs it
 at most once per distinct answer and keeps each verdict in a memo for
@@ -22,7 +23,7 @@ from ..arc import programs  # the module: its functions are looked up when calle
 from ..arc.task import as_arc_task
 from ..errors import ConfigurationError, QuorumError, json_object
 from .answers import normalize_answer
-from .model import Candidate, Task, Verdict, check_reference, register_verifier
+from .model import Candidate, Task, Verdict, check_reference
 
 
 def verify(task: Task, candidate: Candidate) -> Verdict:
@@ -63,5 +64,10 @@ def _bind_game_answer(params: dict, answer_kind: str, task_id: str):
     return partial(check_reference, normalize_answer(str(value), answer_kind))
 
 
-register_verifier("arc_program", _bind_arc_program)
-register_verifier("game_answer", _bind_game_answer)
+# Verifier kind -> ``bind(params, answer_kind, task_id)``, run once when a
+# task is built.  It raises ConfigurationError for a binding the verifier
+# cannot run, and returns the task's ``check(candidate) -> Verdict`` with
+# all task-only work already done.  The check depends only on
+# ``candidate.answer`` (the task runs it once per distinct answer) and
+# holds only immutable state, since threads share it.
+VERIFIERS = {"arc_program": _bind_arc_program, "game_answer": _bind_game_answer}

@@ -1,7 +1,7 @@
 from .execute import Trace, TraceEntry, digest, execute
 from .model import Edge, GraphValidationError, NodeDef, PipelineGraph
 from .mutate import MUTATION_KINDS, Mutation, MutationError, mutate
-from .ops import ExecutionContext, op_def, register_op
+from .ops import ExecutionContext, op_def
 from .revise import ab_test, parse_proposal_line
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "mutate",
     "ExecutionContext",
     "op_def",
-    "register_op",
     "ab_test",
     "parse_proposal_line",
 ]

@@ -126,13 +126,6 @@ def execute(
             failed.add(node_id)
             continue
         elapsed = int((time.monotonic() - start) * 1000)
-        if set(out) != set(definition.outputs):
-            trace.entries.append(
-                TraceEntry(node_id, digest(node_inputs), digest(None), elapsed,
-                           f"op returned ports {sorted(out)}, declared {sorted(definition.outputs)}")
-            )
-            failed.add(node_id)
-            continue
         node_outputs[node_id] = out
         trace.entries.append(TraceEntry(node_id, digest(node_inputs), digest(out), elapsed))
 

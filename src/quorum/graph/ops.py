@@ -1,9 +1,10 @@
-"""Operation registry for pipeline nodes.
+"""The operations a pipeline node can run: one table, ``_REGISTRY``.
 
 Each operation declares its input and output ports and a function
-``fn(params, inputs, ctx, node_id) -> dict of outputs``.  The execution
-context carries the solver registry and the root seed, so nodes stay
-declarative and serializable.
+``fn(params, inputs, ctx, node_id) -> dict of outputs`` that returns
+exactly its declared output ports.  The execution context carries the
+solver registry and the root seed, so nodes stay declarative and
+serializable.
 """
 
 from __future__ import annotations
@@ -28,21 +29,9 @@ class ExecutionContext:
 
 @dataclass(frozen=True)
 class OpDef:
-    name: str
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
     fn: Callable
-
-
-_REGISTRY: dict[str, OpDef] = {}
-
-
-def register_op(name: str, inputs: tuple[str, ...], outputs: tuple[str, ...]):
-    def wrap(fn):
-        _REGISTRY[name] = OpDef(name, inputs, outputs, fn)
-        return fn
-
-    return wrap
 
 
 def op_def(name: str) -> OpDef:
@@ -53,35 +42,29 @@ def op_def(name: str) -> OpDef:
     return _REGISTRY[name]
 
 
-@register_op("const", (), ("value",))
 def _const(params, inputs, ctx, node_id):
     return {"value": params.get("value")}
 
 
-@register_op("passthrough", ("value",), ("value",))
 def _passthrough(params, inputs, ctx, node_id):
     return {"value": inputs["value"]}
 
 
-@register_op("join", ("a", "b"), ("value",))
 def _join(params, inputs, ctx, node_id):
     sep = params.get("sep", "\n")
     return {"value": f"{inputs['a']}{sep}{inputs['b']}"}
 
 
-@register_op("stub", (), ("value",))
 def _stub(params, inputs, ctx, node_id):
     # Placeholder for stages that need tooling this package does not
     # ship (e.g. formal-proof compilation); emits a fixed marker value.
     return {"value": params.get("value", "stub")}
 
 
-@register_op("fail", ("value",), ("value",))
 def _fail(params, inputs, ctx, node_id):
     raise QuorumError(params.get("message", "node configured to fail"))
 
 
-@register_op("puzzle_prompt", ("task",), ("prompt",))
 def _puzzle_prompt(params, inputs, ctx, node_id):
     from ..arc.prompts import format_prompt
     from ..arc.task import as_arc_task
@@ -89,14 +72,12 @@ def _puzzle_prompt(params, inputs, ctx, node_id):
     return {"prompt": format_prompt(as_arc_task(inputs["task"]), params.get("style", "labeled"))}
 
 
-@register_op("solve_text", ("prompt",), ("text",))
 def _solve_text(params, inputs, ctx, node_id):
     solver = ctx.solver(string(params.get("solver_id"), f"node {node_id!r} solver_id"))
     seed = derive_seed(ctx.seed, node_id)
     return {"text": solver.solve(params.get("task_id", node_id), inputs["prompt"], seed)}
 
 
-@register_op("puzzle_verify", ("program_text", "task"), ("verdict", "passed"))
 def _puzzle_verify(params, inputs, ctx, node_id):
     from ..arc.programs import check_program_text
     from ..arc.task import as_arc_task
@@ -106,7 +87,6 @@ def _puzzle_verify(params, inputs, ctx, node_id):
     return {"verdict": verdict_to_json(verdict), "passed": verdict.is_pass}
 
 
-@register_op("run_method", ("task",), ("answer", "passed", "n_samples"))
 def _run_method(params, inputs, ctx, node_id):
     """``params`` are one ``methods`` entry of an eval config plus the
     ``solver_id`` of the cell's solver; the node runs that cell as eval does."""
@@ -124,3 +104,16 @@ def _run_method(params, inputs, ctx, node_id):
         "passed": verdict.is_pass,
         "n_samples": len(result.trace.samples),
     }
+
+
+_REGISTRY: dict[str, OpDef] = {
+    "const": OpDef((), ("value",), _const),
+    "passthrough": OpDef(("value",), ("value",), _passthrough),
+    "join": OpDef(("a", "b"), ("value",), _join),
+    "stub": OpDef((), ("value",), _stub),
+    "fail": OpDef(("value",), ("value",), _fail),
+    "puzzle_prompt": OpDef(("task",), ("prompt",), _puzzle_prompt),
+    "solve_text": OpDef(("prompt",), ("text",), _solve_text),
+    "puzzle_verify": OpDef(("program_text", "task"), ("verdict", "passed"), _puzzle_verify),
+    "run_method": OpDef(("task",), ("answer", "passed", "n_samples"), _run_method),
+}

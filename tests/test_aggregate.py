@@ -8,7 +8,6 @@ from quorum.aggregate import (
     ResultMatrix,
     coverage_curve,
     or_aggregate,
-    parse_matrix,
     render_matrix,
     success_rate,
     table_name,
@@ -179,34 +178,24 @@ class TestRender:
         m = ResultMatrix(["p1"], ["s"], [[False]])
         assert "✗" in render_matrix(m)
 
-    def test_round_trip_exact(self):
+    def test_renders_exact_text(self):
         m = ResultMatrix(
             ["p1", "p2"],
             ["a", "b"],
             [[True, False], [False, True]],
             [[8000, None], [12500, 31]],
         )
-        assert parse_matrix(render_matrix(m)) == m
-
-    def test_round_trip_fixture(self):
-        m = olympiad_matrix()
-        assert parse_matrix(render_matrix(m)) == m
+        assert render_matrix(m) == (
+            "task | a        | b\n"
+            "-----+----------+----------\n"
+            "p1   | ✓ (8)    | ✗\n"
+            "p2   | ✗ (12.5) | ✓ (0.031)\n"
+        )
 
     def test_fixture_renders_published_table_style(self):
         # Solved cells carry bracketed whole seconds, e.g. "✓ (173)".
         text = render_matrix(olympiad_matrix())
         assert "✓ (173)" in text and "✗ (253)" in text
-
-    @given(matrices())
-    @settings(max_examples=40, deadline=None)
-    def test_round_trip_random(self, matrix):
-        assert parse_matrix(render_matrix(matrix)) == matrix
-
-    def test_custom_marks(self):
-        m = ResultMatrix(["p"], ["s"], [[True]])
-        text = render_matrix(m, marks=("Y", "N"))
-        assert "Y" in text
-        assert parse_matrix(text, marks=("Y", "N")) == m
 
     @pytest.mark.parametrize("name", ["a|b", " t", "t ", "a\nb", "a\x1cb"])
     def test_name_a_table_cannot_hold_rejected(self, name):
@@ -223,13 +212,9 @@ class TestRender:
             table_name(solver_id, "a solver id")
         except ConfigurationError:
             return
-        m = ResultMatrix([task_id], [solver_id], [[True]], [[8000]])
-        assert parse_matrix(render_matrix(m)) == m
-
-    def test_bad_cell_rejected(self):
-        m = ResultMatrix(["p"], ["s"], [[True]])
-        with pytest.raises(ValueError):
-            parse_matrix(render_matrix(m).replace("✓", "?"))
+        header, _, row = render_matrix(ResultMatrix([task_id], [solver_id], [[True]], [[8000]])).splitlines()
+        assert [part.strip() for part in header.split("|")] == ["task", solver_id]
+        assert [part.strip() for part in row.split("|")] == [task_id, "✓ (8)"]
 
 
 class TestMatrixValidation:

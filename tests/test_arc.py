@@ -193,6 +193,16 @@ class TestVerifyProgram:
         perturbed = ArcTask(task.id, ((inp, Grid.from_rows(cells)),) + task.train[1:], task.test)
         assert not verify_program(program, perturbed).is_pass
 
+    @pytest.mark.parametrize("text", [";", " ; ;", "\n;\n"])
+    def test_a_program_with_no_operation_is_malformed_output(self, text):
+        from quorum.arc.programs import check_program_text
+
+        g = Grid.from_rows([[1, 2], [3, 4]])
+        task = ArcTask("id", ((g, g),), ())
+        assert parse_dsl(text) == DslProgram(())  # the empty program still parses: it is the identity
+        verdict = check_program_text(text, task)
+        assert verdict.status == "error" and verdict.detail.startswith("malformed output")
+
     def test_crash_is_error_verdict(self):
         task = ArcTask("t", ((Grid.from_rows([[1]]), Grid.from_rows([[1]])),), ())
         verdict = verify_program(parse_dsl("crop(0, 0, 2, 2)"), task)

@@ -554,6 +554,55 @@ def test_eval_holds_at_most_two_cell_records_at_once(tmp_path, monkeypatch):
     assert len(counts) == 60 * 2 * 2 and max(counts) <= 2
 
 
+def test_parallel_eval_submits_at_most_two_cells_per_worker_ahead_of_the_writer(tmp_path, monkeypatch):
+    from concurrent.futures import ThreadPoolExecutor
+
+    from quorum.adapters import ChatClient
+    from quorum.core.runstore import CellRecord
+
+    def fake_complete(self, prompt, seed=0):  # a function of (model, prompt, seed); opens no socket
+        return "AB"[sha256(f"{self.model}|{prompt}|{seed}".encode()).digest()[0] % 2]
+
+    submitted, written, ahead = [0], [0], []
+    submit, to_json = ThreadPoolExecutor.submit, CellRecord.to_json
+
+    def counting_submit(self, *args, **kwargs):
+        submitted[0] += 1
+        ahead.append(submitted[0] - written[0])
+        return submit(self, *args, **kwargs)
+
+    def counting_to_json(self):
+        written[0] += 1
+        return to_json(self)
+
+    monkeypatch.setattr(ChatClient, "complete", fake_complete)
+    tasks = [{"id": f"t{i}", "category": "", "prompt": f"q{i}?", "answer_kind": "choice", "reference": "A"}
+             for i in range(60)]
+    (tmp_path / "tasks.json").write_text(json.dumps(tasks))
+    config = {
+        "solvers": [{"id": model, "kind": "http-model", "params": {
+            "base_url": "http://127.0.0.1:9", "model": model, "api_key_env": None}} for model in ("m1", "m2")],
+        "methods": [{"method_id": "zero_shot"}, {"method_id": "best_of_n", "n": 2}],
+        "tasks": str(tmp_path / "tasks.json"),
+    }
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    records = []
+    for label, flags in (("serial", []), ("parallel", ["--parallel", "2"])):
+        if flags:
+            monkeypatch.setattr(ThreadPoolExecutor, "submit", counting_submit)
+            monkeypatch.setattr(CellRecord, "to_json", counting_to_json)
+        out = tmp_path / label
+        assert main(["eval", "--config", str(tmp_path / "c.json"), "--out", str(out), *flags]) == 0
+        [run_dir] = [p for p in out.iterdir() if p.name.startswith("run-")]
+        cells = [json.loads(line) for line in (run_dir / "record.jsonl").read_text().splitlines()]
+        for cell in cells:
+            del cell["ts_ms"], cell["candidate"]["elapsed_ms"]
+        records.append(cells)
+    assert submitted[0] == written[0] == len(records[0]) == 60 * 2 * 2
+    assert max(ahead) == 4  # 2 * --parallel
+    assert records[0] == records[1]
+
+
 class TestArcCli:
     def test_verify_pass(self, tmp_path, capsys):
         task_file = tmp_path / "rot.json"

@@ -16,9 +16,10 @@ from quorum.graph import (
     ab_test,
     execute,
     mutate,
+    op_def,
     parse_proposal_line,
 )
-from quorum.errors import ConfigurationError
+from quorum.errors import ConfigurationError, QuorumError
 from quorum.seeds import derive_seed
 
 
@@ -113,6 +114,59 @@ class TestExecute:
         assert outputs["passed"] is True
         direct = verify_program(parse_dsl(solver.solve("rot", format_prompt(task), 0)), task)
         assert outputs["verdict"]["status"] == direct.status == "pass"
+
+
+ROT180_PUZZLE = {"train": [{"input": [[1, 2], [3, 4]], "output": [[4, 3], [2, 1]]},
+                           {"input": [[5, 0, 1]], "output": [[1, 0, 5]]}]}
+
+
+@pytest.mark.parametrize("reply,status", [("rotate180", "pass"), ("ROTATE180", "pass"), ("  ", "error"),
+                                          ("flip_h", "fail")])
+def test_puzzle_verify_agrees_with_an_eval_cell(reply, status):
+    from quorum.core import Task
+    from quorum.fixtures import graph_template
+    from quorum.methods import MethodConfig, run_method
+
+    solver = ScriptedSolver("synthesizer", {"*": [(reply, 1.0)]})
+    task = Task.from_dict({"id": "rot", "prompt": "?", "answer_kind": "text",
+                           "verifier": {"kind": "arc_program", "params": {"task": ROT180_PUZZLE}}})
+    config = MethodConfig.from_dict({"method_id": "zero_shot"}, {"synthesizer": solver})
+    _, cell = run_method(config, solver, task, seed=0)
+    outputs, _ = execute(graph_template("puzzle_pipeline"), {"task": ROT180_PUZZLE},
+                         ExecutionContext(solvers={"synthesizer": solver}))
+    assert outputs["verdict"]["status"] == cell.status == status
+
+
+# One input per declared port, enough for each built-in op to run once.
+_ARC_TASK = ArcTask("rot", ((Grid.from_rows([[1, 2]]), Grid.from_rows([[2, 1]])),), ())
+_OP_CALLS = {
+    "const": ({"value": 1}, {}),
+    "passthrough": ({}, {"value": "v"}),
+    "join": ({}, {"a": "x", "b": "y"}),
+    "stub": ({}, {}),
+    "fail": ({}, {"value": "v"}),
+    "puzzle_prompt": ({}, {"task": _ARC_TASK}),
+    "solve_text": ({"solver_id": "s"}, {"prompt": "p"}),
+    "puzzle_verify": ({}, {"program_text": "flip_h", "task": _ARC_TASK}),
+    "run_method": ({"method_id": "zero_shot", "solver_id": "s"},
+                   {"task": {"id": "t", "prompt": "?", "answer_kind": "text", "reference": "yes"}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OP_CALLS))
+def test_each_builtin_op_returns_exactly_its_declared_ports(name):
+    from quorum.graph.ops import _REGISTRY
+
+    assert set(_REGISTRY) == set(_OP_CALLS)
+    definition = op_def(name)
+    params, inputs = _OP_CALLS[name]
+    assert set(inputs) == set(definition.inputs)
+    ctx = ExecutionContext(solvers={"s": ScriptedSolver("s", {"*": [("yes", 1.0)]})})
+    if name == "fail":
+        with pytest.raises(QuorumError, match="node configured to fail"):
+            definition.fn(params, inputs, ctx, "n")
+        return
+    assert set(definition.fn(params, inputs, ctx, "n")) == set(definition.outputs)
 
 
 class TestValidation:

@@ -187,6 +187,13 @@ class TestMixtureOfAgents:
         assert result.candidate.answer == pooled
         assert result.candidate.answer.payload == "A"
 
+    def test_every_agent_failing_leaves_an_error_candidate(self):
+        solvers = [ScriptedSolver(sid, {"*": [("!error:backend down", 1.0)]}) for sid in "ab"]
+        result = mixture_of_agents(solvers, None, _task(reference="A"), seed=3)
+        assert result.candidate.answer is None and result.candidate.error == "all agents failed"
+        assert [(s["slot"], s["answer"], s["error"]) for s in result.trace.samples] == [
+            ("a", None, "backend down"), ("b", None, "backend down")]
+
     def test_weight_mismatch_rejected(self):
         solver = ScriptedSolver("a", {"*": [("A", 1.0)]})
         with pytest.raises(ConfigurationError):
