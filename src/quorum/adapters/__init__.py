@@ -2,7 +2,7 @@ from functools import partial
 
 from ..aggregate import table_name
 from ..errors import ConfigurationError, integer, json_object, list_of, number, string
-from .base import Solver, SolverError, sample, supports_two_stage
+from .base import SolverError, sample, supports_two_stage
 from .chat import (
     ChatAuthError,
     ChatClient,
@@ -15,7 +15,6 @@ from .chat import (
 from .scripted import ScriptedSolver, TransformSolver
 
 __all__ = [
-    "Solver",
     "SolverError",
     "sample",
     "supports_two_stage",

@@ -1,4 +1,4 @@
-"""Solver protocol and the sampling wrapper.
+"""The solver contract and the sampling wrapper.
 
 A solver is anything with an ``id`` and ``solve(task_id, prompt, seed)
 -> str``.  Solvers that support two-stage sampling (a rationale prefix
@@ -10,7 +10,7 @@ followed by a completion conditioned on it) additionally provide
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional, Protocol, runtime_checkable
+from typing import Callable, Optional
 
 from ..core.answers import normalize_answer
 from ..core.model import Candidate, Task
@@ -19,13 +19,6 @@ from ..errors import MalformedAnswerError, QuorumError
 
 class SolverError(QuorumError):
     """A solver failed to produce output (network, crash, refusal)."""
-
-
-@runtime_checkable
-class Solver(Protocol):
-    id: str
-
-    def solve(self, task_id: str, prompt: str, seed: int) -> str: ...
 
 
 def supports_two_stage(solver) -> bool:

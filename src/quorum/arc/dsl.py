@@ -1,8 +1,10 @@
 """Closed grid-transformation language: parser, printer, interpreter.
 
-A program is a semicolon-separated sequence of at most 64 primitive
-operations, applied left to right.  The text form is canonical:
-``parse_dsl(print_dsl(p)) == p``.
+A program is a semicolon-separated sequence of one to 64 primitive
+operations, applied left to right; op names are read case-insensitively.
+The text form is canonical: ``parse_dsl(print_dsl(p)) == p`` for every
+program with at least one operation (the empty program prints as text
+that does not parse).
 
 Primitive semantics (h, w are the current grid's dimensions):
 
@@ -95,7 +97,10 @@ def _location(text: str, stmt_start: int) -> tuple[int, int]:
 
 
 def parse_dsl(text: str) -> DslProgram:
-    """Parse program text; errors carry the offending line and column."""
+    """Parse program text; errors carry the offending line and column.
+    Text that is not a string or holds no operation does not parse."""
+    if not isinstance(text, str):
+        raise DslSyntaxError(f"program text must be a string, got {type(text).__name__}", 1, 1)
     ops = []
     pos = 0
     for raw in text.split(";"):
@@ -107,9 +112,9 @@ def parse_dsl(text: str) -> DslProgram:
         m = _TOKEN_RE.match(raw)
         if not m:
             raise DslSyntaxError(f"cannot parse statement {raw.strip()!r}", line, column)
-        name, has_args, body = m.group(1), m.group(2), m.group(3) or ""
+        name, has_args, body = m.group(1).lower(), m.group(2), m.group(3) or ""
         if name not in _ARITY:
-            raise DslSyntaxError(f"unknown op {name!r}", line, column)
+            raise DslSyntaxError(f"unknown op {m.group(1)!r}", line, column)
         arity = _ARITY[name]
         parts = [p.strip() for p in body.split(",") if p.strip()] if has_args else []
         if name == "recolor":
@@ -137,6 +142,8 @@ def parse_dsl(text: str) -> DslProgram:
             args.append(int(part))
         _check_static(name, args, line, column)
         ops.append(Op(name, tuple(args)))
+    if not ops:
+        raise DslSyntaxError("a program needs at least one operation", 1, 1)
     return DslProgram(tuple(ops))  # DslProgram enforces MAX_OPS
 
 

@@ -13,9 +13,8 @@ import subprocess
 from dataclasses import dataclass
 from typing import Union
 
-from ..core.answers import normalize_answer
 from ..core.model import Check, Verdict
-from ..errors import ConfigurationError, DslSyntaxError, GridBoundsError, MalformedAnswerError, QuorumError
+from ..errors import ConfigurationError, DslSyntaxError, GridBoundsError, QuorumError
 from ..grids import Grid
 from . import dsl
 from .dsl import DslProgram, eval_dsl
@@ -109,16 +108,13 @@ def verify_program(program: Program, task: ArcTask) -> Verdict:
 
 
 def check_program_text(text: str, task: ArcTask) -> Verdict:
-    """``verify_program`` on the DSL program ``text`` spells, read as a
-    text answer (trimmed, whitespace collapsed, case-folded) as
-    ``quorum eval`` reads a reply.  Text that is blank, does not parse,
-    or holds no operation is a malformed-output error verdict."""
+    """``verify_program`` on the DSL program ``text`` spells; text that
+    does not parse (a blank one, or one with no operation) is a
+    malformed-output error verdict."""
     try:
-        program = dsl.parse_dsl(normalize_answer(text, "text").payload)  # looked up when called
-    except (MalformedAnswerError, DslSyntaxError) as exc:
+        program = dsl.parse_dsl(text)  # looked up when called
+    except DslSyntaxError as exc:
         return Verdict.errored(f"malformed output: {exc}")
-    if not program.ops:
-        return Verdict.errored("malformed output: a program needs at least one operation")
     return verify_program(program, task)
 
 

@@ -68,7 +68,6 @@ class TurboKnowledge:
     cols: int
     monsters: frozenset = frozenset()
     safe: frozenset = frozenset()
-    attempts_used: int = 0
 
     def __post_init__(self):
         for r, c in self.monsters:
@@ -131,7 +130,6 @@ def guaranteed_failures(knowledge: TurboKnowledge) -> float:
         cached = memo.get(placements)
         if cached is not None:
             return cached
-        memo[placements] = math.inf  # cycle guard; states strictly shrink, so unused
         safe_cells = _provably_safe(rows, cols, placements)
         component = _component(rows, cols, safe_cells)
         if any(r == rows for r, _ in component):

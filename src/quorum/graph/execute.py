@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -26,7 +25,6 @@ class TraceEntry:
     node_id: str
     inputs_digest: str
     output_digest: str
-    elapsed_ms: int
     error: Optional[str] = None
 
 
@@ -51,7 +49,6 @@ class Trace:
                     "node_id": e.node_id,
                     "inputs_digest": e.inputs_digest,
                     "output_digest": e.output_digest,
-                    "elapsed_ms": e.elapsed_ms,
                     "error": e.error,
                 }
                 for e in self.entries
@@ -115,19 +112,16 @@ def execute(
                 node_inputs[port] = node_outputs[edge.src][edge.out_port]
             else:
                 node_inputs[port] = port_values[(node_id, port)]
-        start = time.monotonic()
         try:
             out = definition.fn(node.params, node_inputs, ctx, node_id)
         except ConfigurationError:
             raise  # a config mistake is the caller's to report, not a node failure
         except Exception as exc:  # node errors are data, not crashes
-            elapsed = int((time.monotonic() - start) * 1000)
-            trace.entries.append(TraceEntry(node_id, digest(node_inputs), digest(None), elapsed, str(exc)))
+            trace.entries.append(TraceEntry(node_id, digest(node_inputs), digest(None), str(exc)))
             failed.add(node_id)
             continue
-        elapsed = int((time.monotonic() - start) * 1000)
         node_outputs[node_id] = out
-        trace.entries.append(TraceEntry(node_id, digest(node_inputs), digest(out), elapsed))
+        trace.entries.append(TraceEntry(node_id, digest(node_inputs), digest(out)))
 
     trace.skipped = sorted(skipped)
     outputs = {}

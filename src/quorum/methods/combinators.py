@@ -1,11 +1,16 @@
 """Inference strategies over black-box solvers.
 
-Each method consumes solver samples (and optionally a verifier) and
-emits one candidate plus a trace of everything it drew and decided.
-Per-sample seeds are fixed per slot index, so every selection operator
-is independent of the order in which samples complete.  Ties between
-answers always break toward the lexicographically smallest normalized
-payload.
+Every method is ``fn(solver, task, seed, *, <knobs>)``: its keyword-only
+arguments are exactly what its ``methods`` entry can set, each with its
+default written once, here, and ``config.py`` checks them before any
+cell runs, so nothing here checks them again.  A method consumes solver
+samples and emits one candidate plus a trace of everything it drew and
+decided.  ``best_of_n``, ``mcts_resample`` and ``plan_search`` check
+their samples with ``quorum.core.verify.verify`` exactly when the task
+has a check.  Per-sample seeds are fixed per slot index, so every
+selection operator is independent of the order in which samples
+complete.  Ties between answers always break toward the
+lexicographically smallest normalized payload.
 """
 
 from __future__ import annotations
@@ -14,17 +19,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from string import Formatter
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..adapters.base import SolverError, sample, supports_two_stage
 from ..core.answers import AnswerValue, normalize_answer
 from ..core.model import Candidate, Task, Verdict
-from ..errors import ConfigurationError, MalformedAnswerError, string
+from ..errors import MalformedAnswerError
 from ..seeds import derive_seed
-
-VerifierFn = Callable[[Task, Candidate], Verdict]
-WEIGHT_TOL = 1e-9
 
 
 @dataclass
@@ -135,6 +136,16 @@ def _select_first_verified(samples, verdicts, trace, solver_id, method_id, seed)
     return _select_modal(samples, trace, solver_id, method_id, seed)
 
 
+def _verifier(task: Task):
+    """``quorum.core.verify.verify`` when ``task`` has a check, else None;
+    looked up when called, so a wrapper set on that module is the one used."""
+    if task.check is None:
+        return None
+    from ..core.verify import verify
+
+    return verify
+
+
 def _draw_and_select(solver, verifier, task, n, seed, trace, plan=None) -> MethodResult:
     """Draw slots 0..n-1, check each with ``verifier`` when there is one,
     record each in ``trace``, and pick the first verified, else the modal
@@ -167,60 +178,49 @@ def zero_shot(solver, task: Task, seed: int) -> MethodResult:
     return MethodResult(cand, trace)
 
 
-def best_of_n(
-    solver,
-    verifier: Optional[VerifierFn],
-    task: Task,
-    n: int,
-    seed: int,
-) -> MethodResult:
+def best_of_n(solver, task: Task, seed: int, *, n: int = 1) -> MethodResult:
     """Rejection sampling: first verified candidate wins, else modal.
 
-    With a verifier, candidates are checked in slot order and the first
-    pass is returned; without one (or when nothing passes) selection
-    falls back to the modal answer, with a recorded warning when the
-    verifier was absent.
+    When the task has a check, candidates are checked in slot order and
+    the first pass is returned; without one (or when nothing passes)
+    selection falls back to the modal answer, with a recorded warning
+    when the check was absent.
     """
-    if n < 1:
-        raise ConfigurationError("n must be >= 1")
     trace = MethodTrace("best_of_n")
+    verifier = _verifier(task)
     if verifier is None:
         trace.notes.append("no verifier: selecting by modal answer only")
     return _draw_and_select(solver, verifier, task, n, seed, trace)
 
 
-def self_consistency(solver, task: Task, n: int, seed: int) -> MethodResult:
+def self_consistency(solver, task: Task, seed: int, *, n: int = 1) -> MethodResult:
     """Majority vote over n independent samples."""
-    if n < 1:
-        raise ConfigurationError("n must be >= 1")
     return _draw_and_select(solver, None, task, n, seed, MethodTrace("self_consistency"))
 
 
 def mixture_of_agents(
-    solvers: Sequence,
-    weights: Optional[Sequence[float]],
+    solver,
     task: Task,
     seed: int,
+    *,
+    weights: Optional[Sequence[float]] = None,
+    extra_solvers: Sequence = (),
 ) -> MethodResult:
-    """Weighted vote over one sample per agent.
+    """Weighted vote over one sample per agent: ``solver``, then each of
+    ``extra_solvers``, with one weight each (default: equal weights).
 
     Answer distributions of black-box solvers are not observable, so the
     mixture is realized as voting: each agent contributes its weight to
     its sampled answer and the argmax wins.
     """
-    if not solvers:
-        raise ConfigurationError("mixture needs at least one solver")
+    solvers = [solver, *extra_solvers]
     if weights is None:
         weights = [1.0 / len(solvers)] * len(solvers)
-    if len(weights) != len(solvers):
-        raise ConfigurationError(f"{len(solvers)} solvers but {len(weights)} weights")
-    if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > WEIGHT_TOL:
-        raise ConfigurationError("weights must be non-negative and sum to 1")
     trace = MethodTrace("mixture_of_agents")
     samples, mass = [], {}
-    for solver, weight in zip(solvers, weights):
-        cand = sample(solver, task, derive_seed(seed, solver.id), method_id="mixture_of_agents")
-        trace.record(solver.id, cand, weight=weight)
+    for agent, weight in zip(solvers, weights):
+        cand = sample(agent, task, derive_seed(seed, agent.id), method_id="mixture_of_agents")
+        trace.record(agent.id, cand, weight=weight)
         samples.append(cand)
         if cand.answer is not None:
             mass[cand.answer] = mass.get(cand.answer, 0.0) + weight
@@ -236,25 +236,18 @@ def mixture_of_agents(
     return MethodResult(_aggregate_candidate(best, samples, solver_ids, "mixture_of_agents", seed), trace)
 
 
-def mcts_resample(
-    solver,
-    verifier: Optional[VerifierFn],
-    task: Task,
-    rollouts: int,
-    seed: int,
-) -> MethodResult:
+def mcts_resample(solver, task: Task, seed: int, *, n: int = 1) -> MethodResult:
     """Rejection sampling from an intermediate step via Monte-Carlo rollouts.
 
-    The rollout budget is spread over up to ceil(sqrt(rollouts)) distinct
-    sampled rationale prefixes; each prefix is scored by the mean reward
-    of its completions and the best completion under the best prefix is
-    returned.  Reward is 1 for a verified completion; without a verifier
-    it falls back to agreement with the modal completion (recorded).
+    The budget of ``n`` rollouts is spread over up to ceil(sqrt(n))
+    distinct sampled rationale prefixes; each prefix is scored by the
+    mean reward of its completions and the best completion under the best
+    prefix is returned.  Reward is 1 for a verified completion; when the
+    task has no check it falls back to agreement with the modal
+    completion (recorded).
     """
-    if rollouts < 1:
-        raise ConfigurationError("rollouts must be >= 1")
     trace = MethodTrace("mcts")
-    if rollouts == 1:
+    if n == 1:
         cand = sample(solver, task, derive_seed(seed, 0), method_id="mcts")
         trace.record(0, cand)
         trace.notes.append("rollouts=1: single plain sample")
@@ -263,7 +256,7 @@ def mcts_resample(
         trace.notes.append("solver lacks two-stage sampling: rollouts are plain samples")
         prefixes = [""]
     else:
-        k = math.isqrt(rollouts - 1) + 1  # ceil(sqrt(rollouts))
+        k = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
         prefixes = []
         for i in range(4 * k):
             if len(prefixes) >= k:
@@ -278,7 +271,7 @@ def mcts_resample(
         if not prefixes:
             prefixes = [""]
 
-    per_prefix = max(1, rollouts // len(prefixes))
+    per_prefix = max(1, n // len(prefixes))
     completions: dict[str, list[Candidate]] = {p: [] for p in prefixes}
     for pi, prefix in enumerate(prefixes):
         for j in range(per_prefix):
@@ -292,6 +285,7 @@ def mcts_resample(
                                               call=complete if prefix else None))
 
     rewards: dict[str, list[float]] = {}
+    verifier = _verifier(task)
     if verifier is not None:
         for prefix, cands in completions.items():
             rewards[prefix] = [1.0 if verifier(task, cand).is_pass else 0.0 for cand in cands]
@@ -340,39 +334,25 @@ def mcts_resample(
     return MethodResult(_aggregate_candidate(winner.answer, all_samples, solver.id, "mcts", seed), trace)
 
 
-def check_template(template, field: str, what: str) -> str:
-    """``template`` if it is a ``str.format`` template whose one field is
-    ``{field}``, with only a conversion and a format spec (no field nested
-    in it) that a string takes, else a ConfigurationError naming ``what``."""
-    try:
-        fields = [(name, spec) for _, name, spec, _ in Formatter().parse(string(template, what)) if name is not None]
-        if {name for name, _ in fields} == {field} and not any("{" in spec for _, spec in fields):
-            template.format(**{field: ""})
-            return template
-    except ValueError:  # unbalanced braces, or a conversion or spec a string does not take
-        pass
-    raise ConfigurationError(f"{what} must be a string whose one field is {{{field}}}, got {template!r}")
-
-
 def round_trip(
     solver,
-    forward_prompt: str,
-    backward_prompt: str,
     task: Task,
     seed: int,
+    *,
     n: int = 1,
+    forward_prompt: str = "{input}",
+    backward_prompt: str = "{output}",
 ) -> MethodResult:
-    """Accept a candidate only if the reverse action restores the input.
+    """Accept a candidate only if the reverse action restores the input,
+    trying up to ``n`` round trips.
 
     ``forward_prompt`` is a template of ``{input}`` alone, ``backward_prompt``
     one of ``{output}`` alone.  The input counts as restored when the
     backward output equals the task prompt as normalized text.
     """
-    check_template(forward_prompt, "input", "rto forward_prompt")
-    check_template(backward_prompt, "output", "rto backward_prompt")
     trace = MethodTrace("rto")
     attempts, last = [], None
-    for i in range(max(1, n)):
+    for i in range(n):
         fwd_seed = derive_seed(seed, "forward", i)
         bwd_seed = derive_seed(seed, "backward", i)
         trip = {}
@@ -414,21 +394,13 @@ def _parse_decision(text: str) -> bool:
     return head in ("1", "yes", "accept", "true", "correct")
 
 
-def prover_verifier(
-    prover,
-    verifier_model,
-    task: Task,
-    rounds: int,
-    seed: int,
-) -> MethodResult:
-    """Interactive game: the prover proposes, the verifier model accepts or rejects.
+def prover_verifier(prover, task: Task, seed: int, *, rounds: int = 1, verifier_solver) -> MethodResult:
+    """Interactive game: the prover proposes, ``verifier_solver`` accepts or rejects.
 
     Returns the first accepted attempt; after ``rounds`` rejections the
     last attempt is returned flagged unaccepted.  Verifier-model failures
     count as rejections.
     """
-    if rounds < 1:
-        raise ConfigurationError("rounds must be >= 1")
     trace = MethodTrace("prover_verifier")
     transcript: list[dict] = []
     attempts = []
@@ -442,7 +414,7 @@ def prover_verifier(
         )
         try:
             decision = _parse_decision(
-                verifier_model.solve(task.id, decision_prompt, derive_seed(seed, "decision", i))
+                verifier_solver.solve(task.id, decision_prompt, derive_seed(seed, "decision", i))
             )
         except SolverError as exc:
             decision = False
@@ -462,16 +434,8 @@ def prover_verifier(
     return MethodResult(last, trace)
 
 
-def plan_search(
-    solver,
-    task: Task,
-    n_plans: int,
-    seed: int,
-    verifier: Optional[VerifierFn] = None,
-) -> MethodResult:
-    """Explore candidate plans, solve once conditioned on each, select."""
-    if n_plans < 1:
-        raise ConfigurationError("n_plans must be >= 1")
+def plan_search(solver, task: Task, seed: int, *, n: int = 1) -> MethodResult:
+    """Explore ``n`` candidate plans, solve once conditioned on each, select."""
     trace = MethodTrace("plan_search")
 
     def plan(i: int) -> str:
@@ -481,7 +445,7 @@ def plan_search(
             trace.notes.append(f"plan draw {i} failed: {exc}")
             return ""
 
-    return _draw_and_select(solver, verifier, task, n_plans, seed, trace, plan=plan)
+    return _draw_and_select(solver, _verifier(task), task, n, seed, trace, plan=plan)
 
 
 PRINCIPLE_PROMPT = (
@@ -491,12 +455,7 @@ PRINCIPLE_PROMPT = (
 )
 
 
-def leap(
-    solver,
-    examples: Sequence[tuple[str, str]],
-    task: Task,
-    seed: int,
-) -> MethodResult:
+def leap(solver, task: Task, seed: int, *, examples: Sequence[tuple[str, str]] = ()) -> MethodResult:
     """Learn principles from worked examples, then solve with them prepended.
 
     With no examples, or when principle extraction comes back empty, the

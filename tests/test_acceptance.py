@@ -122,7 +122,7 @@ def test_criterion_5_best_of_n_law():
         for n in (1, 2, 4, 8, 16):
             hits = 0
             for trial in range(trials):
-                result = best_of_n(solver, verify, task, n=n, seed=trial * 31 + n)
+                result = best_of_n(solver, task, trial * 31 + n, n=n)
                 hits += verify(task, result.candidate).is_pass
             rate = hits / trials
             expected = 1 - (1 - p) ** n

@@ -199,8 +199,16 @@ class TestVerifyProgram:
 
         g = Grid.from_rows([[1, 2], [3, 4]])
         task = ArcTask("id", ((g, g),), ())
-        assert parse_dsl(text) == DslProgram(())  # the empty program still parses: it is the identity
+        with pytest.raises(DslSyntaxError, match="at least one operation"):
+            parse_dsl(text)
         verdict = check_program_text(text, task)
+        assert verdict.status == "error" and verdict.detail.startswith("malformed output")
+
+    def test_program_text_that_is_not_a_string_is_malformed_output(self):
+        from quorum.arc.programs import check_program_text
+
+        g = Grid.from_rows([[1]])
+        verdict = check_program_text(5, ArcTask("id", ((g, g),), ()))  # a graph input may hold any JSON value
         assert verdict.status == "error" and verdict.detail.startswith("malformed output")
 
     def test_crash_is_error_verdict(self):

@@ -340,8 +340,8 @@ class TestEval:
         assert set(checked) <= {"rotate180", "flip_h"}
 
     def test_rto_template_with_a_conversion_runs(self, tmp_path, capsys):
-        # The config check and the rto cell apply one template rule, so a
-        # template the config accepts never stops the sweep inside a cell.
+        # The config check is the one template rule, so a template it
+        # accepts never stops the sweep inside a cell.
         tasks = [{"id": "t", "category": "", "prompt": "?", "answer_kind": "choice", "reference": "A"}]
         (tmp_path / "tasks.json").write_text(json.dumps(tasks))
         config = {
@@ -429,6 +429,49 @@ def test_golden_record_digest(tmp_path):
         [run_dir] = [p for p in out.iterdir() if p.name.startswith("run-")]
         digests.append(sha256((run_dir / "record.jsonl").read_bytes()).hexdigest())
     assert digests == [GOLDEN_RECORD_SHA256] * 2
+
+
+# sha256 of the `quorum --seed 3 graph run --out` file for each bundled
+# template on the inputs below; changes only with a deliberate change to
+# the trace format or to what a fixed seed draws.
+GRAPH_RUN_SHA256 = {
+    "olympiad_pipeline": "a1e25f7f2d45e1682489028f7b25d8c327401a3698a1b2806c5978491358355c",
+    "puzzle_pipeline": "043f929b6fa9d5a4ebe9d1a9cdd43c9229ed58774055008da65f72e837fdc75b",
+}
+
+
+@pytest.mark.parametrize("template", sorted(GRAPH_RUN_SHA256))
+def test_graph_run_digest(tmp_path, template):
+    """A fixed-seed `graph run` of each bundled template writes the same
+    bytes in fresh interpreters, whatever the string-hash seed."""
+    from quorum.fixtures import graph_template
+
+    root = Path(__file__).resolve().parents[1]
+    graph = tmp_path / "graph.json"
+    graph_template(template).save(graph)
+    config = tmp_path / "solvers.json"
+    config.write_text(json.dumps({"solvers": [
+        {"id": "primary", "kind": "scripted", "params": {"table": {"*": [["yes", 0.3], ["no", 0.7]]}, "rng_seed": 4}},
+        {"id": "synthesizer", "kind": "scripted",
+         "params": {"table": {"*": [["ROTATE180", 0.5], ["flip_h", 0.5]]}, "rng_seed": 1}},
+    ]}))
+    task_file = tmp_path / "rot.json"
+    task_file.write_text(json.dumps(ROT180_TASK))
+    inputs = ["--task", str(task_file)] if template == "puzzle_pipeline" else [
+        "--inputs", json.dumps({"task": {"id": "q", "prompt": "yes?", "answer_kind": "text", "reference": "yes"}})]
+    digests = []
+    for hash_seed in ("0", "4242"):
+        out = tmp_path / f"run-{hash_seed}.json"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "quorum.cli", "--seed", "3", "graph", "run", "--graph", str(graph), *inputs,
+             "--config", str(config), "--out", str(out)],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+        )
+        assert result.returncode == 0, result.stderr
+        digests.append(sha256(out.read_bytes()).hexdigest())
+    assert digests == [GRAPH_RUN_SHA256[template]] * 2
 
 
 def _golden_config(tmp_path) -> Path:
@@ -623,6 +666,17 @@ class TestArcCli:
         task_file = tmp_path / "rot.json"
         task_file.write_text(json.dumps(ROT180_TASK))
         assert main(["arc", "verify", "--task", str(task_file), "--program", "rotate45"]) == 2
+
+    @pytest.mark.parametrize("command", ["verify", "predict"])
+    def test_program_text_is_read_as_eval_reads_it(self, tmp_path, capsys, command):
+        # Outputs equal inputs, so only the parse can reject the zero-op program.
+        task_file = tmp_path / "same.json"
+        task_file.write_text(json.dumps(ASYMMETRIC_TASK))
+        assert main(["arc", command, "--task", str(task_file), "--program", ";"]) == 2
+        assert "at least one operation" in capsys.readouterr().err
+        assert main(["arc", command, "--task", str(task_file), "--program", "IDENTITY"]) == 0
+        assert main(["arc", command, "--task", str(task_file), "--program", "identity;\n  rotate45"]) == 2
+        assert "(line 2, column 3)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("puzzle,argv", [
         ({"train": [1]}, ["--program", "identity"]),

@@ -122,7 +122,10 @@ ROT180_PUZZLE = {"train": [{"input": [[1, 2], [3, 4]], "output": [[4, 3], [2, 1]
 
 @pytest.mark.parametrize("reply,status", [("rotate180", "pass"), ("ROTATE180", "pass"), ("  ", "error"),
                                           ("flip_h", "fail")])
-def test_puzzle_verify_agrees_with_an_eval_cell(reply, status):
+def test_puzzle_verify_agrees_with_an_eval_cell(tmp_path, reply, status):
+    import json
+
+    from quorum.cli import main
     from quorum.core import Task
     from quorum.fixtures import graph_template
     from quorum.methods import MethodConfig, run_method
@@ -135,6 +138,11 @@ def test_puzzle_verify_agrees_with_an_eval_cell(reply, status):
     outputs, _ = execute(graph_template("puzzle_pipeline"), {"task": ROT180_PUZZLE},
                          ExecutionContext(solvers={"synthesizer": solver}))
     assert outputs["verdict"]["status"] == cell.status == status
+    puzzle = tmp_path / "puzzle.json"
+    puzzle.write_text(json.dumps(ROT180_PUZZLE))
+    # arc verify exits 0 on a pass, 1 on a fail, and 2 on text that does not parse
+    exit_code = {"pass": 0, "fail": 1, "error": 2}[status]
+    assert main(["arc", "verify", "--task", str(puzzle), "--program", reply]) == exit_code
 
 
 # One input per declared port, enough for each built-in op to run once.

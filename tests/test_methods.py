@@ -87,7 +87,7 @@ class TestBestOfN:
     def test_n1_reduces_to_zero_shot(self):
         solver = ScriptedSolver("s", {"*": [("yes", 0.5), ("no", 0.5)]})
         for seed in range(10):
-            bon = best_of_n(solver, verify, YES_TASK, n=1, seed=seed)
+            bon = best_of_n(solver, YES_TASK, seed, n=1)
             zs = zero_shot(solver, YES_TASK, seed=seed)
             assert bon.candidate.answer == zs.candidate.answer
 
@@ -95,14 +95,14 @@ class TestBestOfN:
         solver = _yes_no_solver(0.5, rng_seed=11)
         trials, hits = 2000, 0
         for trial in range(trials):
-            result = best_of_n(solver, verify, YES_TASK, n=3, seed=trial)
+            result = best_of_n(solver, YES_TASK, trial, n=3)
             hits += verify(YES_TASK, result.candidate).is_pass
         assert abs(hits / trials - (1 - 0.5**3)) < 0.03
 
     def test_never_skips_a_verified_sample(self):
         solver = _yes_no_solver(0.2, rng_seed=5)
         for seed in range(300):
-            result = best_of_n(solver, verify, YES_TASK, n=4, seed=seed)
+            result = best_of_n(solver, YES_TASK, seed, n=4)
             sampled_yes = any(e["answer"] == "yes" for e in result.trace.samples)
             if sampled_yes:
                 assert result.candidate.answer.payload == "yes"
@@ -110,39 +110,39 @@ class TestBestOfN:
 
     def test_no_verifier_warns_and_votes(self):
         solver = SeqSolver(["A", "B", "B"])
-        result = best_of_n(solver, None, _task(), n=3, seed=0)
+        result = best_of_n(solver, _task(), 0, n=3)
         assert result.candidate.answer.payload == "B"
         assert any("no verifier" in note for note in result.trace.notes)
 
     def test_trace_records_all_samples(self):
         solver = _yes_no_solver(0.5)
-        result = best_of_n(solver, verify, YES_TASK, n=8, seed=1)
+        result = best_of_n(solver, YES_TASK, 1, n=8)
         assert len(result.trace.samples) == 8
         assert all("verdict" in e for e in result.trace.samples)
 
 
 class TestSelfConsistency:
     def test_majority(self):
-        result = self_consistency(SeqSolver(["A", "A", "B"]), _task(), n=3, seed=0)
+        result = self_consistency(SeqSolver(["A", "A", "B"]), _task(), 0, n=3)
         assert result.candidate.answer.payload == "A"
 
     def test_tie_breaks_lexicographically(self):
         for answers in (["A", "B"], ["B", "A"]):
-            result = self_consistency(SeqSolver(answers), _task(), n=2, seed=0)
+            result = self_consistency(SeqSolver(answers), _task(), 0, n=2)
             assert result.candidate.answer.payload == "A"
 
     def test_majority_accuracy_binomial(self):
         solver = _yes_no_solver(0.6, rng_seed=2)
         trials, hits = 2000, 0
         for trial in range(trials):
-            result = self_consistency(solver, YES_TASK, n=5, seed=trial)
+            result = self_consistency(solver, YES_TASK, trial, n=5)
             hits += result.candidate.answer.payload == "yes"
         expected = sum(math.comb(5, k) * 0.6**k * 0.4 ** (5 - k) for k in range(3, 6))
         assert abs(hits / trials - expected) < 0.03
 
     def test_all_errors(self):
         solver = ScriptedSolver("s", {"*": [("!error", 1.0)]})
-        result = self_consistency(solver, _task(), n=3, seed=0)
+        result = self_consistency(solver, _task(), 0, n=3)
         assert result.candidate.is_error
 
     def test_beats_zero_shot_above_coin_flip(self):
@@ -151,7 +151,7 @@ class TestSelfConsistency:
         trials = 10_000
         sc_hits = zs_hits = 0
         for trial in range(trials):
-            sc_hits += self_consistency(solver, YES_TASK, n=5, seed=trial).candidate.answer.payload == "yes"
+            sc_hits += self_consistency(solver, YES_TASK, trial, n=5).candidate.answer.payload == "yes"
             zs_hits += zero_shot(solver, YES_TASK, seed=trial).candidate.answer.payload == "yes"
         assert sc_hits / trials >= zs_hits / trials
 
@@ -165,15 +165,15 @@ class TestSelfConsistency:
 class TestMixtureOfAgents:
     def test_single_solver(self):
         solver = ScriptedSolver("s", {"*": [("C", 1.0)]})
-        result = mixture_of_agents([solver], [1.0], _task(), seed=0)
+        result = mixture_of_agents(solver, _task(), 0, weights=[1.0])
         assert result.candidate.answer.payload == "C"
 
     def test_weighted_argmax(self):
         a = ScriptedSolver("a", {"*": [("A", 1.0)]})
         b = ScriptedSolver("b", {"*": [("B", 1.0)]})
-        result = mixture_of_agents([a, b], [0.6, 0.4], _task(), seed=0)
+        result = mixture_of_agents(a, _task(), 0, weights=[0.6, 0.4], extra_solvers=[b])
         assert result.candidate.answer.payload == "A"
-        result = mixture_of_agents([a, b], [0.4, 0.6], _task(), seed=0)
+        result = mixture_of_agents(a, _task(), 0, weights=[0.4, 0.6], extra_solvers=[b])
         assert result.candidate.answer.payload == "B"
 
     def test_uniform_equals_pooled_majority(self):
@@ -182,27 +182,22 @@ class TestMixtureOfAgents:
             ScriptedSolver("b", {"*": [("A", 1.0)]}),
             ScriptedSolver("c", {"*": [("B", 1.0)]}),
         ]
-        result = mixture_of_agents(solvers, None, _task(), seed=0)
+        result = mixture_of_agents(solvers[0], _task(), 0, extra_solvers=solvers[1:])
         pooled = modal_answer([normalize_answer(e["answer"], "choice") for e in result.trace.samples])
         assert result.candidate.answer == pooled
         assert result.candidate.answer.payload == "A"
 
     def test_every_agent_failing_leaves_an_error_candidate(self):
         solvers = [ScriptedSolver(sid, {"*": [("!error:backend down", 1.0)]}) for sid in "ab"]
-        result = mixture_of_agents(solvers, None, _task(reference="A"), seed=3)
+        result = mixture_of_agents(solvers[0], _task(reference="A"), 3, extra_solvers=solvers[1:])
         assert result.candidate.answer is None and result.candidate.error == "all agents failed"
         assert [(s["slot"], s["answer"], s["error"]) for s in result.trace.samples] == [
             ("a", None, "backend down"), ("b", None, "backend down")]
 
-    def test_weight_mismatch_rejected(self):
-        solver = ScriptedSolver("a", {"*": [("A", 1.0)]})
-        with pytest.raises(ConfigurationError):
-            mixture_of_agents([solver], [0.5, 0.5], _task(), seed=0)
-
     def test_weight_count_checked_when_config_is_built(self):
         solvers = {"a": ScriptedSolver("a", {"*": [("A", 1.0)]}), "b": ScriptedSolver("b", {"*": [("B", 1.0)]})}
         entry = {"method_id": "mixture_of_agents", "params": {"extra_solver_ids": ["b"]}}
-        assert MethodConfig.from_dict({**entry, "weights": [0.6, 0.4]}, solvers).weights == (0.6, 0.4)
+        assert MethodConfig.from_dict({**entry, "weights": [0.6, 0.4]}, solvers).kwargs["weights"] == (0.6, 0.4)
         for weights in ([1.0], [0.5, 0.25, 0.25]):  # the cell's solver plus one extra agent
             with pytest.raises(ConfigurationError, match="mixture_of_agents has 2 agent"):
                 MethodConfig.from_dict({**entry, "weights": weights}, solvers)
@@ -219,7 +214,7 @@ class TestMctsResample:
     def test_rollouts_1_reduces_to_zero_shot(self):
         solver = ScriptedSolver("s", {"*": [("yes", 0.5), ("no", 0.5)]}, two_stage=self.TWO_STAGE)
         for seed in range(10):
-            a = mcts_resample(solver, verify, YES_TASK, rollouts=1, seed=seed).candidate
+            a = mcts_resample(solver, YES_TASK, seed, n=1).candidate
             b = zero_shot(solver, YES_TASK, seed=seed).candidate
             assert a.answer == b.answer
 
@@ -229,13 +224,13 @@ class TestMctsResample:
         trials = 1000
         chose_good = 0
         for trial in range(trials):
-            result = mcts_resample(solver, verify, YES_TASK, rollouts=16, seed=trial)
+            result = mcts_resample(solver, YES_TASK, trial, n=16)
             chose_good += result.trace.extras["chosen_prefix"] == "P1"
         assert chose_good / trials >= 0.95
 
     def test_prefix_value_is_mean_of_rewards(self):
         solver = ScriptedSolver("s", {"*": [("yes", 0.5), ("no", 0.5)]}, two_stage=self.TWO_STAGE)
-        result = mcts_resample(solver, verify, YES_TASK, rollouts=9, seed=3)
+        result = mcts_resample(solver, YES_TASK, 3, n=9)
         for entry in result.trace.extras["prefix_values"]:
             assert entry["value"] == pytest.approx(sum(entry["rewards"]) / entry["visits"])
 
@@ -250,13 +245,13 @@ class TestMctsResample:
             def solve_prefix(self, task_id, prompt, seed):
                 return "P1"
 
-        result = mcts_resample(PrefixOnly(), verify, YES_TASK, rollouts=4, seed=0)
+        result = mcts_resample(PrefixOnly(), YES_TASK, 0, n=4)
         assert "solver lacks two-stage sampling: rollouts are plain samples" in result.trace.notes
         assert result.candidate.answer.payload == "yes"
 
     def test_no_verifier_uses_modal_agreement(self):
         solver = ScriptedSolver("s", {"*": [("yes", 0.5), ("no", 0.5)]}, two_stage=self.TWO_STAGE)
-        result = mcts_resample(solver, None, YES_TASK, rollouts=9, seed=3)
+        result = mcts_resample(solver, _task(kind="text"), 3, n=9)
         assert any("modal completion" in note for note in result.trace.notes)
 
 
@@ -266,11 +261,14 @@ ROT13 = str.maketrans(
 )
 
 
+FWD_BWD = {"forward_prompt": "FWD:{input}", "backward_prompt": "BWD:{output}"}
+
+
 class TestRoundTrip:
     def test_identity_accepted(self):
         solver = TransformSolver("id", lambda p, rng: p.removeprefix("FWD:").removeprefix("BWD:"))
         task = _task(kind="text", prompt="some text")
-        result = round_trip(solver, "FWD:{input}", "BWD:{output}", task, seed=0)
+        result = round_trip(solver, task, 0, **FWD_BWD)
         assert result.trace.extras.get("accepted_attempt") == 0
 
     def test_rot13_involution_accepted(self):
@@ -278,7 +276,7 @@ class TestRoundTrip:
             "rot13", lambda p, rng: p.removeprefix("FWD:").removeprefix("BWD:").translate(ROT13)
         )
         task = _task(kind="text", prompt="hello world")
-        result = round_trip(solver, "FWD:{input}", "BWD:{output}", task, seed=0)
+        result = round_trip(solver, task, 0, **FWD_BWD)
         assert result.trace.extras.get("accepted_attempt") == 0
         assert result.candidate.answer.payload == "uryyb jbeyq"
 
@@ -293,7 +291,7 @@ class TestRoundTrip:
         trials, accepted = 2000, 0
         for trial in range(trials):
             solver = TransformSolver("noisy", noisy, rng_seed=trial)
-            result = round_trip(solver, "FWD:{input}", "BWD:{output}", task, seed=trial, n=5)
+            result = round_trip(solver, task, trial, n=5, **FWD_BWD)
             accepted += "accepted_attempt" in result.trace.extras
         assert abs(accepted / trials - (1 - 0.1**5)) < 0.02
 
@@ -301,7 +299,7 @@ class TestRoundTrip:
         solver = TransformSolver("bad", lambda p, rng: p.removeprefix("FWD:") + "x"
                                  if p.startswith("BWD:") else p.removeprefix("FWD:"))
         task = _task(kind="text", prompt="text")
-        result = round_trip(solver, "FWD:{input}", "BWD:{output}", task, seed=0, n=2)
+        result = round_trip(solver, task, 0, n=2, **FWD_BWD)
         assert result.trace.extras.get("round_trip_failed")
         assert "round_trip_failed" in result.trace.notes
 
@@ -313,20 +311,20 @@ class TestRoundTrip:
                 time.sleep(0.03)
                 return prompt.removeprefix("FWD:").removeprefix("BWD:")
 
-        result = round_trip(SlowEcho(), "FWD:{input}", "BWD:{output}", _task(kind="text", prompt="text"), seed=0)
+        result = round_trip(SlowEcho(), _task(kind="text", prompt="text"), 0, **FWD_BWD)
         assert result.trace.extras.get("accepted_attempt") == 0
         assert result.candidate.elapsed_ms >= 60
 
     def test_blank_backward_output_restores_nothing(self):
         solver = TransformSolver("blank", lambda p, rng: " " if p.startswith("BWD:") else p.removeprefix("FWD:"))
-        result = round_trip(solver, "FWD:{input}", "BWD:{output}", _task(kind="text", prompt="text"), seed=0)
+        result = round_trip(solver, _task(kind="text", prompt="text"), 0, **FWD_BWD)
         assert result.trace.samples[0]["accepted"] is False
         assert result.trace.extras.get("round_trip_failed")
         assert result.candidate.answer.payload == "text"
 
     def test_failed_solver_calls_leave_an_error_candidate(self):
         solver = ScriptedSolver("s", {"*": [("!error:backend down", 1.0)]})
-        result = round_trip(solver, "FWD:{input}", "BWD:{output}", _task(kind="text", prompt="text"), seed=3, n=2)
+        result = round_trip(solver, _task(kind="text", prompt="text"), 3, n=2, **FWD_BWD)
         assert [s["error"] for s in result.trace.samples] == ["backend down", "backend down"]
         assert result.candidate.error == "round trip produced no candidate"
         assert result.candidate.seed == 3 and result.candidate.method_id == "rto"
@@ -336,7 +334,7 @@ class TestProverVerifier:
     def test_always_accepting_verifier(self):
         prover = ScriptedSolver("p", {"*": [("yes", 0.5), ("no", 0.5)]})
         judge = TransformSolver("ok", lambda p, rng: "1")
-        result = prover_verifier(prover, judge, YES_TASK, rounds=3, seed=0)
+        result = prover_verifier(prover, YES_TASK, 0, rounds=3, verifier_solver=judge)
         assert result.trace.extras["accepted_round"] == 0
 
     def test_reference_only_verifier_law(self):
@@ -348,14 +346,14 @@ class TestProverVerifier:
         trials, accepted = 2000, 0
         for trial in range(trials):
             prover = _yes_no_solver(0.5, rng_seed=trial, id="p")
-            result = prover_verifier(prover, judge, YES_TASK, rounds=4, seed=trial)
+            result = prover_verifier(prover, YES_TASK, trial, rounds=4, verifier_solver=judge)
             accepted += "accepted_round" in result.trace.extras
         assert abs(accepted / trials - (1 - 0.5**4)) < 0.03
 
     def test_transcript_contract(self):
         prover = ScriptedSolver("p", {"*": [("no", 1.0)]})
         judge = TransformSolver("never", lambda p, rng: "0")
-        result = prover_verifier(prover, judge, YES_TASK, rounds=4, seed=0)
+        result = prover_verifier(prover, YES_TASK, 0, rounds=4, verifier_solver=judge)
         transcript = result.trace.extras["transcript"]
         assert len(transcript) <= 4
         rounds = [t["round"] for t in transcript]
@@ -365,20 +363,20 @@ class TestProverVerifier:
     def test_judge_errors_count_as_rejection(self):
         prover = ScriptedSolver("p", {"*": [("yes", 1.0)]})
         judge = ScriptedSolver("broken", {"*": [("!error", 1.0)]})
-        result = prover_verifier(prover, judge, YES_TASK, rounds=2, seed=0)
+        result = prover_verifier(prover, YES_TASK, 0, rounds=2, verifier_solver=judge)
         assert "accepted_round" not in result.trace.extras
 
 
 class TestPlanSearch:
     def test_single_plan_single_solve(self):
         solver = ScriptedSolver("s", {"*": [("A", 1.0)]})
-        result = plan_search(solver, _task(), n_plans=1, seed=0)
+        result = plan_search(solver, _task(), 0, n=1)
         assert len(result.trace.samples) == 1
 
     def test_ignored_plans_equal_pooled_majority(self):
         solver = ScriptedSolver("s", {"*": [("A", 0.5), ("B", 0.5)]}, rng_seed=8)
         for seed in range(20):
-            result = plan_search(solver, _task(), n_plans=5, seed=seed)
+            result = plan_search(solver, _task(), seed, n=5)
             answers = [normalize_answer(e["answer"], "choice") for e in result.trace.samples]
             assert result.candidate.answer == modal_answer(answers)
 
@@ -394,7 +392,7 @@ class TestPlanSearch:
                     "use the key fact": {"*": [("yes", 1.0)]},
                 },
             )
-            result = plan_search(solver, YES_TASK, n_plans=4, seed=trial, verifier=verify)
+            result = plan_search(solver, YES_TASK, trial, n=4)
             hits += verify(YES_TASK, result.candidate).is_pass
         assert abs(hits / trials - (1 - 0.75**4)) < 0.03
 
@@ -403,7 +401,7 @@ class TestLeap:
     def test_no_examples_equals_zero_shot(self):
         solver = ScriptedSolver("s", {"*": [("A", 0.5), ("B", 0.5)]})
         for seed in range(10):
-            a = leap(solver, [], _task(), seed=seed).candidate
+            a = leap(solver, _task(), seed).candidate
             b = zero_shot(solver, _task(), seed=seed).candidate
             assert a.answer == b.answer
 
@@ -419,7 +417,7 @@ class TestLeap:
         )
         task = _task(kind="text", reference="yes")
         assert not verify(task, zero_shot(solver, task, seed=0).candidate).is_pass
-        result = leap(solver, [("2+2", "4")], task, seed=0)
+        result = leap(solver, task, 0, examples=[("2+2", "4")])
         assert verify(task, result.candidate).is_pass
 
     def test_principles_verbatim_in_trace(self):
@@ -428,7 +426,7 @@ class TestLeap:
             {"*": [("A", 1.0)]},
             prompt_triggers={"List one principle per line": {"*": [("- rule one\n- rule two", 1.0)]}},
         )
-        result = leap(solver, [("x", "y")], _task(), seed=0)
+        result = leap(solver, _task(), 0, examples=[("x", "y")])
         assert result.trace.extras["principles"] == ["rule one", "rule two"]
 
     def test_empty_extraction_falls_back(self):
@@ -437,7 +435,7 @@ class TestLeap:
             {"*": [("A", 1.0)]},
             prompt_triggers={"List one principle per line": {"*": [("   \n  ", 1.0)]}},
         )
-        result = leap(solver, [("x", "y")], _task(), seed=0)
+        result = leap(solver, _task(), 0, examples=[("x", "y")])
         assert any("falling back" in note for note in result.trace.notes)
         assert result.candidate.answer.payload == "A"
 
@@ -504,6 +502,19 @@ class TestRunMethod:
         from quorum.methods import METHODS
 
         assert set(self.ENTRIES) == set(METHODS)
+
+    @pytest.mark.parametrize("method_id", sorted(ENTRIES))
+    def test_function_takes_exactly_what_its_entry_can_set(self, method_id):
+        import inspect
+
+        from quorum.methods import METHODS, combinators
+        from quorum.methods.config import SOLVER_ARGUMENTS
+
+        method = METHODS[method_id]
+        parameters = inspect.signature(getattr(combinators, method.function)).parameters.values()
+        assert [p.name for p in parameters if p.kind is not p.KEYWORD_ONLY][1:] == ["task", "seed"]
+        keyword_only = {p.name for p in parameters if p.kind is p.KEYWORD_ONLY}
+        assert keyword_only == {SOLVER_ARGUMENTS.get(key, key) for key in (*method.keys, *method.params)}
 
     @pytest.mark.parametrize("method_id", sorted(ENTRIES))
     def test_returns_the_verdict_of_its_pick(self, method_id):
