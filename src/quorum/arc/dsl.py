@@ -3,8 +3,8 @@
 A program is a semicolon-separated sequence of one to 64 primitive
 operations, applied left to right; op names are read case-insensitively.
 The text form is canonical: ``parse_dsl(print_dsl(p)) == p`` for every
-program with at least one operation (the empty program prints as text
-that does not parse).
+program of one to 64 operations.  ``parse_dsl`` checks every rule on the
+text; a program built in code, such as a conjugate, may hold more ops.
 
 Primitive semantics (h, w are the current grid's dimensions):
 
@@ -77,10 +77,6 @@ class Op:
 class DslProgram:
     ops: tuple[Op, ...]
 
-    def __post_init__(self):
-        if len(self.ops) > MAX_OPS:
-            raise DslSyntaxError(f"program has {len(self.ops)} ops, limit is {MAX_OPS}", 1, 1)
-
 
 def print_dsl(program: DslProgram) -> str:
     return "; ".join(op.print() for op in program.ops)
@@ -144,7 +140,9 @@ def parse_dsl(text: str) -> DslProgram:
         ops.append(Op(name, tuple(args)))
     if not ops:
         raise DslSyntaxError("a program needs at least one operation", 1, 1)
-    return DslProgram(tuple(ops))  # DslProgram enforces MAX_OPS
+    if len(ops) > MAX_OPS:
+        raise DslSyntaxError(f"program has {len(ops)} ops, limit is {MAX_OPS}", 1, 1)
+    return DslProgram(tuple(ops))
 
 
 def _check_static(name: str, args: list[int], line: int, column: int):
@@ -213,7 +211,7 @@ def _apply(op: Op, grid: Grid, history: list[Grid]) -> Grid:
                 nr, nc = r + dr, c + dc
                 if 0 <= nr < h and 0 <= nc < w:
                     out[nr][nc] = cells[r][c]
-        return Grid.from_rows(out)
+        return Grid(tuple(tuple(row) for row in out))
     if name == "tile":
         ry, rx = op.args
         if h * ry > MAX_SIDE or w * rx > MAX_SIDE:

@@ -8,7 +8,9 @@ requires one canonical form per answer kind:
 * ``integer`` -- the first signed decimal literal found in the text,
 * ``grid``    -- a :class:`~quorum.grids.Grid`.
 
-Normalization is deterministic and idempotent.
+Normalization is deterministic and idempotent.  ``normalize_answer`` is
+the one constructor of :class:`AnswerValue` and the one place these rules
+are checked: solver output and stored records are both read through it.
 """
 
 from __future__ import annotations
@@ -31,23 +33,10 @@ Payload = Union[str, int, Grid]
 
 @dataclass(frozen=True)
 class AnswerValue:
+    """A normalized answer; only ``normalize_answer`` builds one."""
+
     kind: str
     payload: Payload
-
-    def __post_init__(self):
-        if self.kind not in ANSWER_KINDS:
-            raise MalformedAnswerError(f"unknown answer kind {self.kind!r}")
-        if self.kind == "choice":
-            if not (isinstance(self.payload, str) and re.fullmatch(r"[A-Z]", self.payload)):
-                raise MalformedAnswerError(f"choice payload {self.payload!r} is not a single A-Z letter")
-        elif self.kind == "integer":
-            if not isinstance(self.payload, int) or isinstance(self.payload, bool):
-                raise MalformedAnswerError(f"integer payload {self.payload!r} is not an int")
-        elif self.kind == "grid":
-            if not isinstance(self.payload, Grid):
-                raise MalformedAnswerError("grid payload must be a Grid")
-        elif not isinstance(self.payload, str):
-            raise MalformedAnswerError(f"text payload {self.payload!r} is not a string")
 
     def canonical_text(self) -> str:
         """Stable textual form; also the lexicographic tie-break key."""

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
 
-from ..errors import ConfigurationError, MalformedAnswerError, QuorumError, json_object, string
+from ..errors import ConfigurationError, QuorumError, json_object, string
 from .answers import ANSWER_KINDS, AnswerValue, normalize_answer
 
 @dataclass(frozen=True)
@@ -151,16 +151,9 @@ class Verdict:
 
 
 def check_reference(reference: AnswerValue, candidate: Candidate) -> Verdict:
-    """Pass iff the candidate's answer, normalized as the reference's kind,
-    equals the reference."""
+    """Pass iff the candidate's answer equals the reference; ``verify``
+    answers error candidates, and the others are of the reference's kind."""
     got = candidate.answer
-    if got is None:
-        return Verdict.errored("candidate has no answer")
-    if got.kind != reference.kind:
-        try:
-            got = normalize_answer(got.canonical_text(), reference.kind)
-        except MalformedAnswerError as exc:
-            return Verdict.errored(f"malformed output: {exc}")
     ok = got == reference
     check = Check(
         "reference-equality",

@@ -1,8 +1,8 @@
 """Pipeline graphs: operation nodes wired by typed ports.
 
 A graph is a DAG of operation nodes.  Every node input port is fed by
-exactly one edge or one declared graph input; operations and their
-port lists come from the registry in :mod:`quorum.graph.ops`.  Graphs
+exactly one edge or one declared graph input; operations, their ports
+and the params a node may set come from :mod:`quorum.graph.ops`.  Graphs
 also carry named data lists (few-shot examples and similar) that
 mutations can edit.
 """
@@ -56,8 +56,14 @@ class PipelineGraph:
         for node_id, node in self.nodes.items():
             if not node_id:
                 raise GraphValidationError("empty node id")
-            json_object(node.params, f"node {node_id!r} params")
-            op_def(node.op)  # raises on unknown op
+            params = json_object(node.params, f"node {node_id!r} params")
+            declared = op_def(node.op).params  # raises on unknown op
+            unknown = [] if declared is None else sorted(set(params) - set(declared))
+            if unknown:
+                raise GraphValidationError(f"node {node_id!r}: op {node.op!r} takes no param {unknown[0]!r} "
+                                           f"(it takes {', '.join(declared) or 'none'})")
+            if not isinstance(params.get("task_id", ""), str):
+                raise GraphValidationError(f"node {node_id!r} task_id must be a string, got {params['task_id']!r}")
         fed: dict[tuple, str] = {}
         for edge in self.edges:
             for end, port, direction in ((edge.src, edge.out_port, "out"), (edge.dst, edge.in_port, "in")):

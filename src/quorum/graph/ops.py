@@ -1,6 +1,7 @@
 """The operations a pipeline node can run: one table, ``_REGISTRY``.
 
-Each operation declares its input and output ports and a function
+Each operation declares its input and output ports, the params a node
+may set (checked when the graph is built), and a function
 ``fn(params, inputs, ctx, node_id) -> dict of outputs`` that returns
 exactly its declared output ports.  The execution context carries the
 solver registry and the root seed, so nodes stay declarative and
@@ -10,7 +11,7 @@ serializable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 from ..errors import ConfigurationError, QuorumError, string
 from ..seeds import derive_seed
@@ -32,6 +33,7 @@ class OpDef:
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
     fn: Callable
+    params: Optional[tuple[str, ...]] = ()  # all a node may set; None: a methods entry and solver_id
 
 
 def op_def(name: str) -> OpDef:
@@ -107,13 +109,13 @@ def _run_method(params, inputs, ctx, node_id):
 
 
 _REGISTRY: dict[str, OpDef] = {
-    "const": OpDef((), ("value",), _const),
+    "const": OpDef((), ("value",), _const, ("value",)),
     "passthrough": OpDef(("value",), ("value",), _passthrough),
-    "join": OpDef(("a", "b"), ("value",), _join),
-    "stub": OpDef((), ("value",), _stub),
-    "fail": OpDef(("value",), ("value",), _fail),
-    "puzzle_prompt": OpDef(("task",), ("prompt",), _puzzle_prompt),
-    "solve_text": OpDef(("prompt",), ("text",), _solve_text),
+    "join": OpDef(("a", "b"), ("value",), _join, ("sep",)),
+    "stub": OpDef((), ("value",), _stub, ("value",)),
+    "fail": OpDef(("value",), ("value",), _fail, ("message",)),
+    "puzzle_prompt": OpDef(("task",), ("prompt",), _puzzle_prompt, ("style",)),
+    "solve_text": OpDef(("prompt",), ("text",), _solve_text, ("solver_id", "task_id")),
     "puzzle_verify": OpDef(("program_text", "task"), ("verdict", "passed"), _puzzle_verify),
-    "run_method": OpDef(("task",), ("answer", "passed", "n_samples"), _run_method),
+    "run_method": OpDef(("task",), ("answer", "passed", "n_samples"), _run_method, None),
 }

@@ -2,7 +2,9 @@
 
 Cells are color indices 0..9 stored row-major; dimensions are capped at
 30x30. Grids hash and compare by value so they can key caches and sit
-inside answer payloads.
+inside answer payloads.  Outside grids enter through ``from_rows`` and
+``from_text``, which check rows and colors; ``Grid(cells)`` checks only
+the size, since the DSL builds its grids from checked ones.
 """
 
 from __future__ import annotations
@@ -26,12 +28,6 @@ class Grid:
         h, w = len(self.cells), len(self.cells[0])
         if h > MAX_SIDE or w > MAX_SIDE:
             raise GridBoundsError(f"grid {h}x{w} exceeds {MAX_SIDE}x{MAX_SIDE}")
-        for r, row in enumerate(self.cells):
-            if len(row) != w:
-                raise GridBoundsError(f"ragged row {r}: expected width {w}, got {len(row)}")
-            for c, v in enumerate(row):
-                if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < N_COLORS:
-                    raise GridBoundsError(f"cell ({r},{c}) color {v!r} outside 0..{N_COLORS - 1}")
 
     @property
     def height(self) -> int:
@@ -43,17 +39,25 @@ class Grid:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "Grid":
-        return cls(tuple(tuple(row) for row in rows))
+        """A ragged row or a cell that is not an int 0..9 raises GridBoundsError."""
+        grid = cls(tuple(tuple(row) for row in rows))
+        for r, row in enumerate(grid.cells):
+            if len(row) != grid.width:
+                raise GridBoundsError(f"ragged row {r}: expected width {grid.width}, got {len(row)}")
+            for c, v in enumerate(row):
+                if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < N_COLORS:
+                    raise GridBoundsError(f"cell ({r},{c}) color {v!r} outside 0..{N_COLORS - 1}")
+        return grid
 
     @classmethod
     def from_text(cls, text: str) -> "Grid":
-        """Parse digit rows, one line per row (the wire format)."""
+        """Parse ASCII digit rows, one line per row (the wire format)."""
         lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
         if not lines:
             raise GridBoundsError("empty grid text")
         rows = []
         for ln in lines:
-            if not ln.isdigit():
+            if not (ln.isascii() and ln.isdigit()):  # isdigit alone takes "²"
                 raise GridBoundsError(f"non-digit character in grid row {ln!r}")
             rows.append([int(ch) for ch in ln])
         return cls.from_rows(rows)

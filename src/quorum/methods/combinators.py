@@ -70,12 +70,6 @@ class ConsensusReport:
     c: Fraction
     diversity: Fraction
 
-    def __post_init__(self):
-        if not 0 <= self.c <= 1:
-            raise ValueError(f"consensus {self.c} outside [0,1]")
-        if self.diversity != 1 - self.c:
-            raise ValueError("diversity must equal 1 - c exactly")
-
 
 def modal_answer(answers: Sequence[AnswerValue]) -> AnswerValue:
     """Most common answer; ties break to the smallest sort key."""

@@ -144,6 +144,10 @@ class TestEvalSemantics:
         with pytest.raises(GridBoundsError):
             eval_dsl(parse_dsl("tile(16, 1)"), Grid.from_rows([[1], [2]]))
 
+    def test_pad_beyond_envelope(self):
+        with pytest.raises(GridBoundsError, match="42x2 exceeds 30x30"):
+            eval_dsl(parse_dsl("pad(0, 20, 20, 0, 0)"), Grid.from_rows([[1, 2], [3, 4]]))
+
     @given(grids())
     @settings(max_examples=80, deadline=None)
     def test_rotate_twice_is_rotate180(self, g):
@@ -318,6 +322,14 @@ class TestAugment:
         for element in D4_ELEMENTS:
             inverse = group_inverse(element)
             assert apply_element(inverse, apply_element(element, g)) == g
+
+    def test_conjugate_of_a_program_at_the_op_limit(self):
+        # The op limit bounds program text, not the programs built from it.
+        program = parse_dsl("; ".join(["rotate90"] * 64))
+        conjugate = conjugate_program(program, "fr90")
+        assert len(conjugate.ops) == 68
+        g = Grid.from_rows([[1, 2, 3], [4, 5, 6]])
+        assert eval_dsl(conjugate, g) == g
 
     def test_transform_applied_consistently(self):
         task = _rot_task()

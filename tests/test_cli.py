@@ -737,6 +737,37 @@ class TestArcCli:
         assert code == 0
 
 
+SHAPE_PUZZLE = {"train": [{"input": [[1, 2], [3, 4]], "output": [[4, 3], [2, 1]]}]}  # 2x2 train output
+
+
+@pytest.mark.parametrize("way", ["verify_program", "arc verify", "eval cell"])
+def test_output_of_the_wrong_shape_fails(tmp_path, capsys, way):
+    """``tile(1,2)`` turns the 2x2 train input into a 2x4 grid, so the
+    program fails, whichever way it is verified."""
+    if way == "verify_program":
+        from quorum.arc import ArcTask, parse_dsl, verify_program
+        from quorum.core.runstore import verdict_to_json
+
+        verdict = verdict_to_json(verify_program(parse_dsl("tile(1,2)"), ArcTask.from_dict(SHAPE_PUZZLE, "shape")))
+    elif way == "arc verify":
+        puzzle, out = tmp_path / "puzzle.json", tmp_path / "verdict.json"
+        puzzle.write_text(json.dumps(SHAPE_PUZZLE))
+        assert main(["arc", "verify", "--task", str(puzzle), "--program", "tile(1,2)", "--out", str(out)]) == 1
+        assert capsys.readouterr().out == "train[0]: fail (shape 2x4 != 2x2)\n"
+        verdict = json.loads(out.read_text())
+    else:
+        tasks = tmp_path / "tasks.json"
+        tasks.write_text(json.dumps([{"id": "shape", "prompt": "?", "answer_kind": "text",
+                                      "verifier": {"kind": "arc_program", "params": {"task": SHAPE_PUZZLE}}}]))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**json.loads(_solver_config(tmp_path, "tile(1,2)").read_text()),
+                                      "methods": [{"method_id": "zero_shot"}], "tasks": str(tasks)}))
+        assert main(["eval", "--config", str(config), "--out", str(tmp_path / "runs")]) == 0
+        (cell,) = map(json.loads, (_run_dir(tmp_path / "runs") / "record.jsonl").read_text().splitlines())
+        verdict = cell["verdict"]
+    assert verdict == {"status": "fail", "detail": "", "checks": [["train[0]", False, "shape 2x4 != 2x2"]]}
+
+
 class TestGameCli:
     @pytest.mark.parametrize(
         "argv,expected",
@@ -988,9 +1019,11 @@ class TestGraphCli:
         lambda graph: graph["nodes"]["check"].update(parmas={}),
         lambda graph: graph.update(name=5),
         lambda graph: graph["nodes"]["prompt"]["params"].update(style="x"),
+        lambda graph: graph["nodes"]["prompt"]["params"].update(stlye="compact"),
+        lambda graph: graph["nodes"]["synthesize"]["params"].update(task_id=[1]),
     ], ids=["nodes-not-an-object", "params-not-an-object", "output-as-empty-string", "output-not-a-pair",
             "input-binding-not-a-pair", "edge-of-three", "edge-port-as-list", "op-as-list", "misspelt-node-key",
-            "name-as-number", "unknown-prompt-style"])
+            "name-as-number", "unknown-prompt-style", "misspelt-op-param", "task-id-not-a-string"])
     def test_malformed_graph_file_is_exit_2(self, tmp_path, capsys, edit):
         graph = json.loads(self._template_path(tmp_path).read_text())
         edit(graph)
@@ -1001,6 +1034,26 @@ class TestGraphCli:
         assert main(["graph", "run", "--graph", str(path), "--task", str(task_file),
                      "--config", str(_solver_config(tmp_path))]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "abtest", "mutate"])
+    def test_misspelt_op_param_is_exit_2(self, tmp_path, capsys, command):
+        graph_file = self._template_path(tmp_path)
+        if command == "mutate":
+            argv = ["--graph", str(graph_file), "--mutation", 'edit_param prompt {"key": "stlye", "value": "compact"}']
+        else:
+            graph = json.loads(graph_file.read_text())
+            graph["nodes"]["prompt"]["params"] = {"stlye": "compact"}
+            graph_file.write_text(json.dumps(graph))
+            task_file, tasks_file = tmp_path / "rot.json", tmp_path / "tasks.json"
+            task_file.write_text(json.dumps(ROT180_TASK))
+            tasks_file.write_text(json.dumps([{"id": "t", "prompt": "?", "answer_kind": "text", "reference": "x"}]))
+            inputs = ["--task", str(task_file)] if command == "run" else ["--tasks", str(tasks_file)]
+            argv = ["--graph" if command == "run" else "--graphs", str(graph_file), *inputs,
+                    "--config", str(_solver_config(tmp_path))]
+        before = graph_file.read_text()
+        assert main(["graph", command, *argv]) == 2
+        assert "takes no param 'stlye'" in capsys.readouterr().err
+        assert graph_file.read_text() == before
 
     @pytest.mark.parametrize("mutation", [
         'add_node extra {"op": "const", "params": 5}',

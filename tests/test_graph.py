@@ -288,9 +288,9 @@ class TestProposeRevision:
         return mutate(_diamond_graph(), parse_proposal_line(line))
 
     def test_parse_contract(self):
-        proposal = parse_proposal_line('edit_param right {"key": "x", "value": 1}')
-        assert proposal == Mutation("edit_param", {"key": "x", "value": 1, "node": "right"})
-        assert self._apply('edit_param right {"key": "x", "value": 1}').nodes["right"].params["x"] == 1
+        proposal = parse_proposal_line('edit_param joinpoint {"key": "sep", "value": 1}')
+        assert proposal == Mutation("edit_param", {"key": "sep", "value": 1, "node": "joinpoint"})
+        assert self._apply('edit_param joinpoint {"key": "sep", "value": 1}').nodes["joinpoint"].params["sep"] == 1
 
     def test_invalid_target_rejected(self):
         with pytest.raises(MutationError, match="ghost"):
@@ -308,7 +308,7 @@ class TestProposeRevision:
                 self._apply(line)
 
     def test_non_string_value_accepted(self):
-        assert self._apply('edit_param right {"key": "x", "value": [1]}').nodes["right"].params["x"] == [1]
+        assert self._apply('edit_param joinpoint {"key": "sep", "value": [1]}').nodes["joinpoint"].params["sep"] == [1]
 
     def test_payload_failing_a_shape_check_rejected(self):
         with pytest.raises(ConfigurationError, match="must be an integer"):
