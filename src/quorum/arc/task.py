@@ -59,10 +59,14 @@ class ArcTask:
 
 
 def as_arc_task(task, task_id: Optional[str] = None) -> ArcTask:
-    """``task`` itself, or the ArcTask its interchange dict describes, with
-    id ``task_id``, else the dict's ``id``, else ``"task"``."""
+    """``task`` itself, the puzzle that a ``Task``'s ``arc_program`` verifier
+    holds, or the ArcTask its interchange dict describes, with id
+    ``task_id``, else the dict's ``id``, else ``"task"``."""
     if isinstance(task, ArcTask):
         return task
+    verifier = getattr(task, "verifier", None)  # a Task has one; a dict has none
+    if verifier is not None and verifier.kind == "arc_program":
+        return as_arc_task(verifier.params["task"], verifier.params.get("id", task.id))
     if not isinstance(task, dict):
         raise ConfigurationError(f"a puzzle must be an object, got {task!r}")
     return ArcTask.from_dict(task, task_id or task.get("id", "task"))

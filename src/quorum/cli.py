@@ -5,7 +5,7 @@ Subcommands::
     quorum eval  --config cfg.json [--seed N] [--parallel K] [--out DIR]
     quorum arc   {verify,predict,augment,loo} --task FILE [...]
     quorum game  NAME PARAMS... [--out FILE] [--simulate EPISODES]
-    quorum graph {run,mutate,abtest} [...]
+    quorum graph {run,mutate} [...]
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 internal error.  All randomness flows from the root ``--seed`` via
@@ -31,15 +31,16 @@ from .arc.augment import augment, leave_one_out
 from .arc.dsl import parse_dsl
 from .arc.programs import ExternalProgram, predict, verify_program
 from .arc.task import ArcTask
+from .core.answers import normalize_answer
 from .core.model import Candidate, Task, Verdict
 from .core.runstore import CellRecord, RunStore
-from .errors import (ConfigurationError, DslSyntaxError, IntractableError, QuorumError, integer, json_object,
-                     list_of, parse_json, read_json, string)
+from .core.verify import verify
+from .errors import (ConfigurationError, DslSyntaxError, IntractableError, MalformedAnswerError, QuorumError,
+                     integer, json_object, list_of, parse_json, read_json, string)
 from .graph.execute import execute
 from .graph.model import PipelineGraph
-from .graph.ops import ExecutionContext
-from .graph.revise import ab_test, parse_proposal_line
-from .graph.mutate import mutate
+from .graph.ops import ExecutionContext, check_solvers
+from .graph.mutate import mutate, parse_proposal_line
 from .methods import MethodConfig, run_method
 from .seeds import derive_seed
 
@@ -81,6 +82,46 @@ def _load_task_entries(path) -> tuple[dict, ...]:
     return entries
 
 
+def _load_graph_column(entry: dict, solvers: dict) -> PipelineGraph:
+    """The graph a ``{"graph": PATH}`` methods entry names, checked whole: it
+    validates, takes no input but ``task``, declares an ``answer`` output, and
+    its nodes name only configured solvers and methods entries eval takes."""
+    path = string(json_object(entry, "a graph entry", required=("graph",), keys=())["graph"], "a graph entry's path")
+    graph = PipelineGraph.load(path)
+    table_name(string(graph.name, f"the name of graph {path}", nonempty=True), f"the name of graph {path}")
+    if set(graph.inputs) - {"task"}:
+        raise ConfigurationError(f"graph {path} takes inputs {sorted(graph.inputs)}; an eval column gives only 'task'")
+    if "answer" not in graph.outputs:
+        raise ConfigurationError(f"graph {path} declares no 'answer' output")
+    check_solvers(graph, solvers)
+    return graph
+
+
+def _run_graph(graph: PipelineGraph, task: Task, ctx: ExecutionContext, column: str,
+               timed: bool) -> tuple[Candidate, dict]:
+    """The candidate of a graph cell: its ``answer`` output normalized to the
+    task's kind, or an error naming a failed node or the missing answer, and
+    its wall time when ``timed``.  The graph's own ``passed`` output and its
+    trace go into the cell's trace only."""
+    start = time.monotonic()
+    outputs, trace = execute(graph, {"task": task}, ctx)
+    elapsed_ms = int((time.monotonic() - start) * 1000) if timed else 0
+    failed = [entry for entry in trace.entries if entry.error]
+    answer = error = None
+    if failed:
+        error = f"node {failed[0].node_id!r} failed: {failed[0].error}"
+    elif outputs["answer"] is None:
+        error = "the graph gave no 'answer'"
+    else:
+        try:
+            answer = normalize_answer(outputs["answer"], task.answer_kind)
+        except MalformedAnswerError as exc:
+            error = f"malformed output: {exc}"
+    candidate = Candidate(answer=answer, solver_id=column, method_id="graph", seed=ctx.seed, elapsed_ms=elapsed_ms,
+                          error=error)
+    return candidate, {"passed": bool(outputs.get("passed")), **trace.to_json()}
+
+
 def _ordered_map(pool, fn, items, window: int):
     """``map(fn, items)`` on ``pool``, in order, with at most ``window``
     calls submitted but not yet taken by the consumer; the calls not
@@ -107,7 +148,24 @@ def cmd_eval(args) -> int:
     # Without a real backend a cell is CPU-bound Python that threads only
     # slow down, and its record must be byte-reproducible.
     deterministic = all(getattr(s, "deterministic_timing", False) for s in solvers.values())
-    method_configs = [MethodConfig.from_dict(entry, solvers) for entry in config["methods"]]
+    units = [_load_graph_column(entry, solvers) if isinstance(entry, dict) and "graph" in entry
+             else MethodConfig.from_dict(entry, solvers) for entry in config["methods"]]
+
+    # A method is one column per solver, headed method@solver; a graph is one
+    # column, headed by its name, whose nodes name their own solvers.
+    columns = []  # (method config or graph, the candidate's solver id, column label)
+    names = [unit.name if isinstance(unit, PipelineGraph) else unit.method_id for unit in units]
+    for i, (unit, name) in enumerate(zip(units, names)):
+        label = f"{name}#{names[:i].count(name) + 1}" if names.count(name) > 1 else name
+        if isinstance(unit, PipelineGraph):
+            columns.append((unit, label, label))
+        else:
+            columns.extend((unit, sid, f"{label}@{sid}") for sid in sorted(solvers))
+    labels = [col for _, _, col in columns]
+    clashes = sorted({col for col in labels if labels.count(col) > 1})
+    if clashes:
+        raise ConfigurationError(f"the methods entries repeat the column(s) {', '.join(map(repr, clashes))}; "
+                                 "rename a graph")
 
     tasks = [Task.from_dict(e) for e in _load_task_entries(config["tasks"])]
     store = RunStore(out_root)  # an --out that is not a directory stops the run here
@@ -117,30 +175,26 @@ def cmd_eval(args) -> int:
         json.dumps(config_snapshot, sort_keys=True).encode()
     ).hexdigest()[:12]
 
-    columns = []
-    method_labels = []
-    for mc in method_configs:
-        label = mc.method_id
-        if sum(1 for other in method_configs if other.method_id == mc.method_id) > 1:
-            label = f"{mc.method_id}#{method_labels.count(mc.method_id) + 1}"
-        method_labels.append(mc.method_id)
-        for sid in sorted(solvers):
-            columns.append((mc, sid, f"{label}@{sid}"))
-
     failures = []  # (position, cause) of each cell that raised, appended from any worker thread
 
     def run_cell(numbered) -> CellRecord:
-        position, (task, (mc, sid, col)) = numbered
-        cell_seed = derive_seed(seed, task.id, sid, mc.method_id)
+        position, (task, (unit, sid, col)) = numbered
+        graph = isinstance(unit, PipelineGraph)
+        method_id = "graph" if graph else unit.method_id
+        cell_seed = derive_seed(seed, task.id, col) if graph else derive_seed(seed, task.id, sid, method_id)
         try:
-            result, verdict = run_method(mc, solvers[sid], task, seed=cell_seed)
-            candidate, trace = result.candidate, result.trace.to_json()
+            if graph:
+                candidate, trace = _run_graph(unit, task, ExecutionContext(solvers, cell_seed), col, not deterministic)
+                verdict = verify(task, candidate)
+            else:
+                result, verdict = run_method(unit, solvers[sid], task, seed=cell_seed)
+                candidate, trace = result.candidate, result.trace.to_json()
         except ConfigurationError:
             raise
         except Exception as exc:  # one bad cell becomes an error cell naming its cause; the sweep goes on
             cause = f"internal error: {type(exc).__name__}: {exc}"
             failures.append((position, f"{task.id} {col}: {cause}"))
-            candidate = Candidate(answer=None, solver_id=sid, method_id=mc.method_id, seed=cell_seed,
+            candidate = Candidate(answer=None, solver_id=sid, method_id=method_id, seed=cell_seed,
                                   elapsed_ms=0, error=cause)
             verdict, trace = Verdict.errored(cause), None
         return CellRecord(
@@ -286,22 +340,18 @@ def cmd_game(args) -> int:
 # -- graph ------------------------------------------------------------------
 
 
-def _graph_context(args) -> ExecutionContext:
-    solvers = {}
-    if getattr(args, "config", None):
-        config = json_object(read_json(args.config, "the graph config"), "a graph config")
-        solvers = resolve_solvers(config.get("solvers", []),
-                                  cache_root=Path(string(config.get("out", "runs"), "graph config 'out'")) / "cache")
-    return ExecutionContext(solvers=solvers, seed=args.seed or 0)
-
-
 def cmd_graph(args) -> int:
     if args.graph_command == "run":
         graph = PipelineGraph.load(args.graph)
         inputs = json_object(parse_json(args.inputs, "graph --inputs"), "graph --inputs") if args.inputs else {}
         if args.task:
             inputs.setdefault("task", ArcTask.load(args.task))
-        outputs, trace = execute(graph, inputs, _graph_context(args))
+        solvers = {}
+        if args.config:
+            config = json_object(read_json(args.config, "the graph config"), "a graph config")
+            solvers = resolve_solvers(config.get("solvers", []), cache_root=Path(
+                string(config.get("out", "runs"), "graph config 'out'")) / "cache")
+        outputs, trace = execute(graph, inputs, ExecutionContext(solvers=solvers, seed=args.seed or 0))
         text = json.dumps({"outputs": outputs, "trace": trace.to_json()}, indent=2, sort_keys=True, default=repr)
         print(text)
         if args.out:
@@ -315,15 +365,6 @@ def cmd_graph(args) -> int:
         target = Path(args.out or args.graph)
         mutated.save(target)
         print(f"mutated graph written to {target}")
-        return EXIT_OK
-
-    if args.graph_command == "abtest":
-        variants = [PipelineGraph.load(p) for p in args.graphs]
-        matrix = ab_test(variants, _load_task_entries(args.tasks), _graph_context(args))
-        table = render_matrix(matrix)
-        print(table)
-        if args.out:
-            Path(args.out).write_text(json.dumps(matrix.to_json(), indent=2, sort_keys=True) + "\n")
         return EXIT_OK
 
     raise ConfigurationError(f"unknown graph subcommand {args.graph_command!r}")
@@ -380,11 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mut.add_argument("--graph", required=True)
     p_mut.add_argument("--mutation", required=True, help="'KIND TARGET [JSON]' line")
     p_mut.add_argument("--out", default=None)
-    p_ab = graph_sub.add_parser("abtest")
-    p_ab.add_argument("--graphs", nargs="+", required=True)
-    p_ab.add_argument("--tasks", required=True)
-    p_ab.add_argument("--config", default=None)
-    p_ab.add_argument("--out", default=None)
 
     return parser
 

@@ -1,8 +1,7 @@
 from .execute import Trace, TraceEntry, digest, execute
 from .model import Edge, GraphValidationError, NodeDef, PipelineGraph
-from .mutate import MUTATION_KINDS, Mutation, MutationError, mutate
+from .mutate import MUTATION_KINDS, Mutation, MutationError, mutate, parse_proposal_line
 from .ops import ExecutionContext, op_def
-from .revise import ab_test, parse_proposal_line
 
 __all__ = [
     "Trace",
@@ -19,6 +18,5 @@ __all__ = [
     "mutate",
     "ExecutionContext",
     "op_def",
-    "ab_test",
     "parse_proposal_line",
 ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from ..errors import ConfigurationError
@@ -43,18 +43,7 @@ class Trace:
         raise KeyError(node_id)
 
     def to_json(self) -> dict:
-        return {
-            "entries": [
-                {
-                    "node_id": e.node_id,
-                    "inputs_digest": e.inputs_digest,
-                    "output_digest": e.output_digest,
-                    "error": e.error,
-                }
-                for e in self.entries
-            ],
-            "skipped": self.skipped,
-        }
+        return {"entries": [asdict(e) for e in self.entries], "skipped": self.skipped}
 
 
 def _jsonable(value):

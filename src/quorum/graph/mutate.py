@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import ConfigurationError, integer, json_object, string
+from ..errors import ConfigurationError, integer, json_object, parse_json, string
 from .model import Edge, GraphValidationError, NodeDef, PipelineGraph
 
 MUTATION_KINDS = (
@@ -36,6 +36,41 @@ class Mutation:
     def __post_init__(self):
         if self.kind not in MUTATION_KINDS:
             raise MutationError(f"unknown mutation kind {self.kind!r}")
+
+
+_TARGET_KEY = {
+    "edit_param": "node",
+    "edit_prompt": "node",
+    "add_node": "node",
+    "remove_node": "node",
+    "add_data": "name",
+    "remove_data": "name",
+}
+
+
+def parse_proposal_line(line: str) -> Mutation:
+    """The mutation a ``KIND TARGET [JSON-PAYLOAD]`` line spells, as ``graph mutate
+    --mutation`` takes it: e.g. ``edit_param sampler {"key": "n", "value": 5}``,
+    ``remove_node dead_branch`` or ``remove_edge left.value->join.a``."""
+    parts = line.strip().split(None, 2)
+    if len(parts) < 2:
+        raise MutationError(f"expected 'KIND TARGET [payload]', got {line!r}")
+    kind, target = parts[0], parts[1]
+    payload = {}
+    if len(parts) == 3 and parts[2].strip():
+        payload = json_object(parse_json(parts[2], "a mutation payload"), "a mutation payload")
+    if kind in _TARGET_KEY:
+        payload.setdefault(_TARGET_KEY[kind], target)
+    elif kind in ("add_edge", "remove_edge"):
+        # target form: src.out_port->dst.in_port
+        try:
+            src_part, dst_part = target.split("->")
+            src, out_port = src_part.rsplit(".", 1)
+            dst, in_port = dst_part.rsplit(".", 1)
+        except ValueError as exc:
+            raise MutationError(f"bad edge target {target!r}") from exc
+        payload.update({"src": src, "out_port": out_port, "dst": dst, "in_port": in_port})
+    return Mutation(kind, payload)
 
 
 _VALUE_KEYS = ("value", "item", "index")  # every other payload key names something, so is a string

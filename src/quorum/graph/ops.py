@@ -22,11 +22,6 @@ class ExecutionContext:
     solvers: dict = field(default_factory=dict)
     seed: int = 0
 
-    def solver(self, solver_id: str):
-        if solver_id not in self.solvers:
-            raise ConfigurationError(f"no solver {solver_id!r} in execution context")
-        return self.solvers[solver_id]
-
 
 @dataclass(frozen=True)
 class OpDef:
@@ -74,8 +69,25 @@ def _puzzle_prompt(params, inputs, ctx, node_id):
     return {"prompt": format_prompt(as_arc_task(inputs["task"]), params.get("style", "labeled"))}
 
 
+def _node_solver(params, ctx, node_id):
+    solver_id = string(params.get("solver_id"), f"node {node_id!r} solver_id")
+    if solver_id not in ctx.solvers:
+        raise ConfigurationError(f"no solver {solver_id!r} in execution context")
+    return ctx.solvers[solver_id]
+
+
+def _method_cell(params, ctx, node_id):
+    """The method config and solver of a ``run_method`` node, whose ``params``
+    are one ``methods`` entry of an eval config plus the ``solver_id`` of the
+    cell's solver."""
+    from ..methods import MethodConfig
+
+    solver = _node_solver(params, ctx, node_id)
+    return MethodConfig.from_dict({k: v for k, v in params.items() if k != "solver_id"}, ctx.solvers), solver
+
+
 def _solve_text(params, inputs, ctx, node_id):
-    solver = ctx.solver(string(params.get("solver_id"), f"node {node_id!r} solver_id"))
+    solver = _node_solver(params, ctx, node_id)
     seed = derive_seed(ctx.seed, node_id)
     return {"text": solver.solve(params.get("task_id", node_id), inputs["prompt"], seed)}
 
@@ -90,16 +102,13 @@ def _puzzle_verify(params, inputs, ctx, node_id):
 
 
 def _run_method(params, inputs, ctx, node_id):
-    """``params`` are one ``methods`` entry of an eval config plus the
-    ``solver_id`` of the cell's solver; the node runs that cell as eval does."""
+    """Runs the cell its ``params`` describe (``_method_cell``) as eval does."""
     from ..core.model import Task
-    from ..methods import MethodConfig, run_method
+    from ..methods import run_method
 
     task = inputs["task"] if isinstance(inputs["task"], Task) else Task.from_dict(inputs["task"])
-    entry = dict(params)
-    solver = ctx.solver(string(entry.pop("solver_id", None), f"node {node_id!r} solver_id"))
-    result, verdict = run_method(MethodConfig.from_dict(entry, ctx.solvers), solver, task,
-                                 seed=derive_seed(ctx.seed, node_id))
+    config, solver = _method_cell(params, ctx, node_id)
+    result, verdict = run_method(config, solver, task, seed=derive_seed(ctx.seed, node_id))
     answer = result.candidate.answer
     return {
         "answer": answer.canonical_text() if answer else None,
@@ -119,3 +128,14 @@ _REGISTRY: dict[str, OpDef] = {
     "puzzle_verify": OpDef(("program_text", "task"), ("verdict", "passed"), _puzzle_verify),
     "run_method": OpDef(("task",), ("answer", "passed", "n_samples"), _run_method, None),
 }
+
+
+def check_solvers(graph, solvers) -> None:
+    """Raise ConfigurationError unless every node's ``solver_id`` names one of
+    ``solvers`` and every ``run_method`` node holds a methods entry eval takes,
+    so that no node meets such a mistake while it runs."""
+    ctx = ExecutionContext(solvers)
+    for node_id, node in sorted(graph.nodes.items()):
+        check = {"solve_text": _node_solver, "run_method": _method_cell}.get(node.op)
+        if check is not None:
+            check(node.params, ctx, node_id)

@@ -233,12 +233,12 @@ def mixture_of_agents(
 def mcts_resample(solver, task: Task, seed: int, *, n: int = 1) -> MethodResult:
     """Rejection sampling from an intermediate step via Monte-Carlo rollouts.
 
-    The budget of ``n`` rollouts is spread over up to ceil(sqrt(n))
-    distinct sampled rationale prefixes; each prefix is scored by the
-    mean reward of its completions and the best completion under the best
-    prefix is returned.  Reward is 1 for a verified completion; when the
-    task has no check it falls back to agreement with the modal
-    completion (recorded).
+    The budget of exactly ``n`` rollouts is spread over the k <= ceil(sqrt(n))
+    distinct rationale prefixes sampled, the first ``n mod k`` getting one
+    more than the others; each prefix is scored by the mean reward of its
+    completions and the best completion under the best prefix is returned.
+    Reward is 1 for a verified completion; when the task has no check it
+    falls back to agreement with the modal completion (recorded).
     """
     trace = MethodTrace("mcts")
     if n == 1:
@@ -265,10 +265,10 @@ def mcts_resample(solver, task: Task, seed: int, *, n: int = 1) -> MethodResult:
         if not prefixes:
             prefixes = [""]
 
-    per_prefix = max(1, n // len(prefixes))
+    per_prefix, extra = divmod(n, len(prefixes))  # at most ceil(sqrt(n)) <= n prefixes: each gets a rollout
     completions: dict[str, list[Candidate]] = {p: [] for p in prefixes}
     for pi, prefix in enumerate(prefixes):
-        for j in range(per_prefix):
+        for j in range(per_prefix + (pi < extra)):
             slot_seed = derive_seed(seed, "completion", pi, j)
 
             def complete():

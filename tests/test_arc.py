@@ -187,6 +187,15 @@ class TestVerifyProgram:
         assert failing
         assert any("(" in c.detail for c in failing)  # mismatch coordinates or shape
 
+    @pytest.mark.parametrize("differing,detail", [
+        (8, "8 differing cells: (0,0), (0,1), (0,2), (1,0), (1,1), (1,2), (2,0), (2,1)"),
+        (9, "9 differing cells: (0,0), (0,1), (0,2), (1,0), (1,1), (1,2), (2,0), (2,1) and 1 more"),
+    ], ids=["eight", "nine"])
+    def test_at_most_eight_differing_cells_are_named(self, differing, detail):
+        want = [[1 if 3 * r + c < differing else 0 for c in range(3)] for r in range(3)]
+        task = ArcTask("t", ((Grid.from_rows([[0] * 3] * 3), Grid.from_rows(want)),), ())
+        assert verify_program(parse_dsl("identity"), task).checks[0].detail == detail
+
     def test_single_cell_perturbation_flips_verdict(self):
         task = _rot_task()
         program = parse_dsl("rotate180")

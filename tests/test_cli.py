@@ -410,12 +410,10 @@ GOLDEN_CONFIG = {
 GOLDEN_RECORD_SHA256 = "e34b074a7a767e54211c2df01dc60b21dfb908760f1bd0db925b8775a2d60f81"
 
 
-def test_golden_record_digest(tmp_path):
-    """A fixed-seed sweep over all nine methods and all three verifier kinds
-    writes the same record.jsonl bytes in fresh interpreters, whatever the
-    string-hash seed."""
+def _record_sha256(tmp_path, config) -> list:
+    """sha256 of record.jsonl of `quorum eval --config config`, run in a fresh
+    interpreter under each of two string-hash seeds."""
     root = Path(__file__).resolve().parents[1]
-    config = _golden_config(tmp_path)
     digests = []
     for hash_seed in ("0", "4242"):
         out = tmp_path / f"runs-{hash_seed}"
@@ -428,7 +426,47 @@ def test_golden_record_digest(tmp_path):
         assert result.returncode == 0, result.stderr
         [run_dir] = [p for p in out.iterdir() if p.name.startswith("run-")]
         digests.append(sha256((run_dir / "record.jsonl").read_bytes()).hexdigest())
-    assert digests == [GOLDEN_RECORD_SHA256] * 2
+    return digests
+
+
+def test_golden_record_digest(tmp_path):
+    """A fixed-seed sweep over all nine methods and all three verifier kinds
+    writes the same record.jsonl bytes in fresh interpreters, whatever the
+    string-hash seed."""
+    assert _record_sha256(tmp_path, _golden_config(tmp_path)) == [GOLDEN_RECORD_SHA256] * 2
+
+
+# sha256 of record.jsonl for a sweep with method columns and a column for
+# each bundled graph template, on two puzzles; changes only with a
+# deliberate change to the record or trace format or to what a fixed seed draws.
+GOLDEN_GRAPH_RECORD_SHA256 = "3a248c9006164cc17383f2f9418a1ecd98d1b56574c04fc21d5ce18cdfdb45e2"
+
+
+def test_golden_record_digest_with_graph_columns(tmp_path):
+    from quorum.fixtures import graph_template
+
+    tasks = [{"id": "p-rot", "prompt": "Write the program.", "answer_kind": "text",
+              "verifier": {"kind": "arc_program", "params": {"task": ROT180_TASK}}},
+             {"id": "p-id", "prompt": "Write the program.", "answer_kind": "text",
+              "verifier": {"kind": "arc_program", "params": {"task": ASYMMETRIC_TASK}}}]
+    (tmp_path / "tasks.json").write_text(json.dumps(tasks))
+    for template in ("puzzle_pipeline", "olympiad_pipeline"):
+        graph_template(template).save(tmp_path / f"{template}.json")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "solvers": [
+            {"id": "primary", "kind": "scripted", "params": {
+                "table": {"*": [["rotate180", 0.4], ["identity", 0.4], ["rotate45", 0.2]]}, "rng_seed": 5}},
+            {"id": "synthesizer", "kind": "scripted", "params": {
+                "table": {"*": [["ROTATE180", 0.4], ["flip_h", 0.4], ["!error:down", 0.2]]}, "rng_seed": 1}},
+        ],
+        "methods": [{"method_id": "zero_shot"}, {"method_id": "best_of_n", "n": 3},
+                    {"graph": str(tmp_path / "puzzle_pipeline.json")},
+                    {"graph": str(tmp_path / "olympiad_pipeline.json")}],
+        "tasks": str(tmp_path / "tasks.json"),
+        "seed": 3,
+    }))
+    assert _record_sha256(tmp_path, config) == [GOLDEN_GRAPH_RECORD_SHA256] * 2
 
 
 # sha256 of the `quorum --seed 3 graph run --out` file for each bundled
@@ -436,7 +474,7 @@ def test_golden_record_digest(tmp_path):
 # the trace format or to what a fixed seed draws.
 GRAPH_RUN_SHA256 = {
     "olympiad_pipeline": "a1e25f7f2d45e1682489028f7b25d8c327401a3698a1b2806c5978491358355c",
-    "puzzle_pipeline": "043f929b6fa9d5a4ebe9d1a9cdd43c9229ed58774055008da65f72e837fdc75b",
+    "puzzle_pipeline": "da1b2fd8bdacc821d7db3d68bd2422c7e82dfcd5b0d6c74e8645ac8d81249b3e",
 }
 
 
@@ -841,7 +879,7 @@ class TestGraphCli:
 
     def test_graph_verifies_tasks_as_eval_does(self, tmp_path, capsys):
         # The olympiad template on a game task, and a run_method graph on a
-        # puzzle task through abtest: the tasks' verifiers judge the answers.
+        # puzzle task as an eval column: the tasks' verifiers judge the answers.
         from quorum.fixtures import graph_template
 
         game_task = {"id": "g1", "category": "game", "prompt": "ninja 6", "answer_kind": "integer",
@@ -866,10 +904,9 @@ class TestGraphCli:
         graph["nodes"]["attempt"]["params"]["n"] = 1
         small = tmp_path / "small.json"
         small.write_text(json.dumps(graph))
-        out = tmp_path / "matrix.json"
-        assert main(["graph", "abtest", "--graphs", str(olympiad), str(small), "--tasks",
-                     str(tmp_path / "tasks.json"), "--config", str(config), "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["solved"] == [[1, 1]]
+        matrix = _graph_eval(tmp_path, config, [olympiad, small])
+        assert matrix["solver_ids"] == ["olympiad_pipeline#1", "olympiad_pipeline#2"]
+        assert matrix["solved"] == [[1, 1]]
 
     @pytest.mark.parametrize("case", ["bad-task", "unknown-solver"])
     def test_node_config_mistake_is_exit_2(self, tmp_path, capsys, case):
@@ -948,15 +985,12 @@ class TestGraphCli:
                      "--inputs", json.dumps({"task": task}), "--config", str(config)]) == 2
         assert "configuration error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["run", "abtest"])
+    @pytest.mark.parametrize("command", ["run"])
     def test_config_that_is_not_an_object_is_exit_2(self, tmp_path, capsys, command):
         config = tmp_path / "solvers.json"
         config.write_text(json.dumps([{"id": "s", "kind": "scripted", "params": {}}]))
-        (tmp_path / "tasks.json").write_text(json.dumps([{"id": "q", "prompt": "?", "answer_kind": "choice"}]))
         graph = self._template_path(tmp_path)
-        argv = ["--graph", str(graph)] if command == "run" else ["--graphs", str(graph), "--tasks",
-                                                                 str(tmp_path / "tasks.json")]
-        assert main(["graph", command, *argv, "--config", str(config)]) == 2
+        assert main(["graph", command, "--graph", str(graph), "--config", str(config)]) == 2
         assert "configuration error: a graph config must be a JSON object" in capsys.readouterr().err
 
     @pytest.mark.parametrize("inputs,message", [
@@ -995,11 +1029,12 @@ class TestGraphCli:
         ids=["not-a-list", "entry-not-an-object", "duplicate-id", "entry-without-id"],
     )
     def test_abtest_tasks_file_of_other_json_is_exit_2(self, tmp_path, capsys, content):
+        # An A/B test of two graphs is an eval config with two graph columns.
         graph = self._template_path(tmp_path)
-        tasks = tmp_path / "tasks.json"
-        tasks.write_text(json.dumps(content))
-        assert main(["graph", "abtest", "--graphs", str(graph), str(graph), "--tasks", str(tasks)]) == 2
+        with pytest.raises(SystemExit, match="2"):
+            _graph_eval(tmp_path, _solver_config(tmp_path), [graph, graph], tasks=content)
         assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_bad_graph_file_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -1044,14 +1079,15 @@ class TestGraphCli:
             graph = json.loads(graph_file.read_text())
             graph["nodes"]["prompt"]["params"] = {"stlye": "compact"}
             graph_file.write_text(json.dumps(graph))
-            task_file, tasks_file = tmp_path / "rot.json", tmp_path / "tasks.json"
+            task_file = tmp_path / "rot.json"
             task_file.write_text(json.dumps(ROT180_TASK))
-            tasks_file.write_text(json.dumps([{"id": "t", "prompt": "?", "answer_kind": "text", "reference": "x"}]))
-            inputs = ["--task", str(task_file)] if command == "run" else ["--tasks", str(tasks_file)]
-            argv = ["--graph" if command == "run" else "--graphs", str(graph_file), *inputs,
-                    "--config", str(_solver_config(tmp_path))]
+            argv = ["--graph", str(graph_file), "--task", str(task_file), "--config", str(_solver_config(tmp_path))]
         before = graph_file.read_text()
-        assert main(["graph", command, *argv]) == 2
+        if command == "abtest":  # an A/B test of two graphs is an eval config with two graph columns
+            with pytest.raises(SystemExit, match="2"):
+                _graph_eval(tmp_path, _solver_config(tmp_path), [graph_file, graph_file])
+        else:
+            assert main(["graph", command, *argv]) == 2
         assert "takes no param 'stlye'" in capsys.readouterr().err
         assert graph_file.read_text() == before
 
@@ -1090,19 +1126,18 @@ class TestGraphCli:
         assert code == 2
 
     def test_abtest_writes_matrix(self, tmp_path, capsys):
+        # A graph and its `graph mutate` copy, side by side as two columns of one eval run.
         from quorum.graph import Mutation, PipelineGraph, mutate as apply_mutation
 
         tasks = [{"id": f"t{i}", "prompt": "?", "answer_kind": "text", "reference": "yes"}
                  for i in range(6)]
-        task_file = tmp_path / "tasks.json"
-        task_file.write_text(json.dumps(tasks))
         base = PipelineGraph.from_json({
             "name": "small",
             "nodes": {"m": {"op": "run_method",
                             "params": {"method_id": "best_of_n", "n": 1, "solver_id": "s"}}},
             "edges": [],
             "inputs": {"task": [["m", "task"]]},
-            "outputs": {"passed": ["m", "passed"]},
+            "outputs": {"answer": ["m", "answer"], "passed": ["m", "passed"]},
         })
         big = apply_mutation(base, Mutation("edit_param", {"node": "m", "key": "n", "value": 5}))
         g1, g2 = tmp_path / "g1.json", tmp_path / "g2.json"
@@ -1113,28 +1148,24 @@ class TestGraphCli:
             "solvers": [{"id": "s", "kind": "scripted",
                          "params": {"table": {"*": [["yes", 0.5], ["no", 0.5]]}}}]
         }))
-        out = tmp_path / "matrix.json"
-        code = main(["graph", "abtest", "--graphs", str(g1), str(g2),
-                     "--tasks", str(task_file), "--config", str(solver_config),
-                     "--out", str(out)])
-        assert code == 0
-        payload = json.loads(out.read_text())
-        assert payload["solver_ids"] == ["small", "small#1"] or len(payload["solver_ids"]) == 2
+        matrix = _graph_eval(tmp_path, solver_config, [g1, g2], tasks=tasks)
+        assert matrix["solver_ids"] == ["small#1", "small#2"]
+        assert matrix["task_ids"] == [task["id"] for task in tasks]
 
     def test_abtest_variant_with_unknown_method_is_exit_2(self, tmp_path, capsys):
         config = tmp_path / "solvers.json"
         config.write_text(json.dumps({"solvers": [
             {"id": "s", "kind": "scripted", "params": {"table": {"*": [["A", 1.0]]}}}]}))
-        (tmp_path / "tasks.json").write_text(json.dumps([{"id": "q", "prompt": "?", "answer_kind": "choice",
-                                                         "reference": "A"}]))
-        good = self._method_graph(tmp_path, m={"method_id": "zero_shot", "solver_id": "s"})
-        bad = good.with_name("bad.json")
-        bad.write_text(good.read_text().replace('"zero_shot"', '"no_such_method"'))
-        out = tmp_path / "matrix.json"
-        assert main(["graph", "abtest", "--graphs", str(good), str(bad), "--tasks", str(tmp_path / "tasks.json"),
-                     "--config", str(config), "--out", str(out)]) == 2
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        for path, method_id in ((good, "zero_shot"), (bad, "no_such_method")):
+            path.write_text(json.dumps({
+                "nodes": {"m": {"op": "run_method", "params": {"method_id": method_id, "solver_id": "s"}}},
+                "inputs": {"task": [["m", "task"]]}, "outputs": {"answer": ["m", "answer"]}}))
+        with pytest.raises(SystemExit, match="2"):
+            _graph_eval(tmp_path, config, [good, bad],
+                        tasks=[{"id": "q", "prompt": "?", "answer_kind": "choice", "reference": "A"}])
         assert "configuration error: unknown method 'no_such_method'" in capsys.readouterr().err
-        assert not out.exists()
+        assert not (tmp_path / "runs").exists()
 
     def test_abtest_variant_whose_solver_raises_scores_unsolved(self, tmp_path, capsys):
         from quorum.fixtures import graph_template
@@ -1144,71 +1175,177 @@ class TestGraphCli:
             {"id": "synthesizer", "kind": "scripted", "params": {"table": {"*": [["rotate180", 1.0]]}}},
             {"id": "broken", "kind": "scripted", "params": {"table": {"*": [["!error:down", 1.0]]}}},
         ]}))
-        (tmp_path / "tasks.json").write_text(json.dumps([{"id": "p1", **ROT180_TASK}]))
         good = graph_template("puzzle_pipeline").to_json()
         bad = json.loads(json.dumps(good))
         bad["name"] = "broken_pipeline"
         bad["nodes"]["synthesize"]["params"]["solver_id"] = "broken"
         for name, graph in (("good", good), ("bad", bad)):
             (tmp_path / f"{name}.json").write_text(json.dumps(graph))
-        out = tmp_path / "matrix.json"
-        assert main(["graph", "abtest", "--graphs", str(tmp_path / "good.json"), str(tmp_path / "bad.json"),
-                     "--tasks", str(tmp_path / "tasks.json"), "--config", str(config), "--out", str(out)]) == 0
+        matrix = _graph_eval(tmp_path, config, [tmp_path / "good.json", tmp_path / "bad.json"])
         assert "✗" in capsys.readouterr().out
-        assert json.loads(out.read_text())["solved"] == [[1, 0]]
+        assert matrix["solved"] == [[1, 0]]
+        cell = json.loads((_run_dir(tmp_path / "runs") / "record.jsonl").read_text().splitlines()[1])
+        assert cell["candidate"]["error"] == "node 'synthesize' failed: down"
+        assert cell["verdict"]["detail"] == "candidate error: node 'synthesize' failed: down"
+
+
+PUZZLE_TASK = {"id": "p1", "prompt": "Write the program.", "answer_kind": "text",
+               "verifier": {"kind": "arc_program", "params": {"task": ROT180_TASK}}}
+
+
+def _graph_eval(tmp_path, solver_config, graphs, tasks=None) -> dict:
+    """matrix.json of `quorum eval` on ``tasks`` (default: one puzzle), with
+    the solvers of ``solver_config`` and one column per graph file; a run
+    that exits other than 0 raises SystemExit."""
+    (tmp_path / "tasks.json").write_text(json.dumps([PUZZLE_TASK] if tasks is None else tasks))
+    config = tmp_path / "eval.json"
+    config.write_text(json.dumps({**json.loads(Path(solver_config).read_text()), "tasks": str(tmp_path / "tasks.json"),
+                                  "methods": [{"graph": str(path)} for path in graphs]}))
+    code = main(["eval", "--config", str(config), "--out", str(tmp_path / "runs")])
+    if code:
+        raise SystemExit(code)
+    return json.loads((_run_dir(tmp_path / "runs") / "matrix.json").read_text())
+
+
+def test_graph_whose_own_passed_is_true_scores_by_its_answer(tmp_path):
+    # A "liar": its passed output is a const true node, its answer a wrong program.
+    liar = {"name": "liar",
+            "nodes": {"says": {"op": "const", "params": {"value": True}},
+                      "program": {"op": "const", "params": {"value": "flip_h"}}},
+            "edges": [], "inputs": {}, "outputs": {"answer": ["program", "value"], "passed": ["says", "value"]}}
+    (tmp_path / "liar.json").write_text(json.dumps(liar))
+    matrix = _graph_eval(tmp_path, _solver_config(tmp_path), [tmp_path / "liar.json"])
+    assert matrix["solved"] == [[0]]
+    cell = json.loads((_run_dir(tmp_path / "runs") / "record.jsonl").read_text())
+    assert cell["trace"]["passed"] is True and cell["verdict"]["status"] == "fail"
+
+
+GRAPH_ENTRY_MISTAKES = {
+    "extra-key": "a graph entry takes no 'method_id' entry",
+    "no-answer": "declares no 'answer' output",
+    "unknown-solver": "no solver 'other'",
+    "bad-run-method-entry": "method 'best_of_n' takes no 'rounds' entry",
+    "label-clash": "repeat the column(s) 'a#2'",
+    "input-other-than-task": "an eval column gives only 'task'",
+    "empty-name": "must be a non-empty string",
+}
+
+
+def test_graph_cell_with_a_real_backend_records_its_wall_time(tmp_path, monkeypatch):
+    import time
+
+    from quorum.adapters import ChatClient
+    from quorum.fixtures import graph_template
+
+    monkeypatch.setattr(ChatClient, "complete", lambda self, prompt, seed=0: time.sleep(0.03) or "rotate180")
+    config = tmp_path / "solvers.json"
+    config.write_text(json.dumps({"solvers": [{"id": "synthesizer", "kind": "http-model", "params": {
+        "base_url": "http://127.0.0.1:9", "model": "m", "api_key_env": None}}]}))
+    graph_template("puzzle_pipeline").save(tmp_path / "g.json")
+    matrix = _graph_eval(tmp_path, config, [tmp_path / "g.json"])
+    assert matrix["solved"] == [[1]] and matrix["elapsed_ms"][0][0] >= 30
+
+
+@pytest.mark.parametrize("case,message", GRAPH_ENTRY_MISTAKES.items(), ids=list(GRAPH_ENTRY_MISTAKES))
+def test_graph_entry_mistake_is_exit_2_before_any_cell(tmp_path, capsys, monkeypatch, case, message):
+    import quorum.cli
+    from quorum.fixtures import graph_template
+
+    cells = []
+    monkeypatch.setattr(quorum.cli, "execute", lambda *a, **kw: cells.append(a))
+    puzzle, olympiad = graph_template("puzzle_pipeline").to_json(), graph_template("olympiad_pipeline").to_json()
+    graphs = {"g.json": puzzle}
+    entries = [{"graph": "g.json"}]
+    if case == "extra-key":
+        entries[0]["method_id"] = "zero_shot"
+    elif case == "no-answer":
+        del puzzle["outputs"]["answer"]
+    elif case == "unknown-solver":
+        puzzle["nodes"]["synthesize"]["params"]["solver_id"] = "other"
+    elif case == "bad-run-method-entry":
+        olympiad["nodes"]["attempt"]["params"].update(solver_id="synthesizer", rounds=2)
+        graphs = {"g.json": olympiad}
+    elif case == "label-clash":  # the second "a" would become column "a#2", which the first graph already names
+        graphs = {f"g{i}.json": {**puzzle, "name": name} for i, name in enumerate(["a#2", "a", "a"])}
+        entries = [{"graph": name} for name in graphs]
+    elif case == "input-other-than-task":
+        puzzle["inputs"]["puzzle"] = puzzle["inputs"].pop("task")
+    else:
+        puzzle["name"] = ""
+    for name, graph in graphs.items():
+        (tmp_path / name).write_text(json.dumps(graph))
+    (tmp_path / "tasks.json").write_text(json.dumps([PUZZLE_TASK]))
+    config = tmp_path / "eval.json"
+    config.write_text(json.dumps({**json.loads(_solver_config(tmp_path).read_text()), "tasks": "tasks.json",
+                                  "methods": [{"method_id": "zero_shot"}, *entries]}))
+    monkeypatch.chdir(tmp_path)
+    assert main(["eval", "--config", str(config), "--out", str(tmp_path / "runs")]) == 2
+    assert message in capsys.readouterr().err
+    assert cells == [] and not (tmp_path / "runs").exists()
+
+
+def test_puzzle_graph_on_a_task_that_holds_no_puzzle_is_exit_2(tmp_path, capsys):
+    from quorum.fixtures import graph_template
+
+    graph_template("puzzle_pipeline").save(tmp_path / "g.json")
+    with pytest.raises(SystemExit, match="2"):
+        _graph_eval(tmp_path, _solver_config(tmp_path), [tmp_path / "g.json"],
+                    tasks=[{"id": "q", "prompt": "?", "answer_kind": "text", "reference": "rotate180"}])
+    assert "configuration error: a puzzle must be an object, got Task(id='q'" in capsys.readouterr().err
+
+
+def test_graph_abtest_is_gone(capsys):
+    with pytest.raises(SystemExit, match="2"):
+        main(["graph", "abtest", "--graphs", "a.json", "b.json", "--tasks", "tasks.json"])
+    assert "invalid choice: 'abtest'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("case", ["eval-task-id", "eval-solver-id", "abtest-task-id", "abtest-graph-name"])
 def test_id_a_table_cannot_hold_is_exit_2_before_any_cell(tmp_path, capsys, monkeypatch, eval_setup, case):
     import quorum.cli
-    import quorum.graph.revise
     from quorum.fixtures import graph_template
 
     cells = []
     monkeypatch.setattr(quorum.cli, "run_method", lambda *a, **kw: cells.append(a))
-    monkeypatch.setattr(quorum.graph.revise, "execute", lambda *a, **kw: cells.append(a))
+    monkeypatch.setattr(quorum.cli, "execute", lambda *a, **kw: cells.append(a))
     config_file, _ = eval_setup
     config = json.loads(config_file.read_text())
     tasks = json.loads(Path(config["tasks"]).read_text())
     graph = graph_template("puzzle_pipeline").to_json()
+    if case.startswith("abtest"):  # two graph columns of one eval config
+        graph["nodes"]["synthesize"]["params"]["solver_id"] = "right"
+        config["methods"] = [{"graph": str(tmp_path / "graph.json")}] * 2
     if case.endswith("task-id"):
         tasks[0]["id"] = "a|b"
     elif case == "eval-solver-id":
         config["solvers"][0]["id"] = "s|x"
-    else:
+    elif case == "abtest-graph-name":
         graph["name"] = "v|1"
     Path(config["tasks"]).write_text(json.dumps(tasks))
     config_file.write_text(json.dumps(config))
     (tmp_path / "graph.json").write_text(json.dumps(graph))
     out = tmp_path / "out"
-    if case.startswith("eval"):
-        argv = ["eval", "--config", str(config_file), "--out", str(out)]
-    else:
-        argv = ["graph", "abtest", "--graphs", str(tmp_path / "graph.json"), str(tmp_path / "graph.json"),
-                "--tasks", config["tasks"], "--out", str(out)]
-    assert main(argv) == 2
+    assert main(["eval", "--config", str(config_file), "--out", str(out)]) == 2
     assert "may not contain '|'" in capsys.readouterr().err
     assert cells == [] and not out.exists()
 
 
 def test_abtest_graph_names_whose_columns_clash_are_exit_2_before_any_variant(tmp_path, capsys, monkeypatch):
     # The second "a" would become column "a#2", which the first graph already names.
-    import quorum.graph.revise
+    import quorum.cli
     from quorum.fixtures import graph_template
 
     runs = []
-    monkeypatch.setattr(quorum.graph.revise, "execute", lambda *a, **kw: runs.append(a))
+    monkeypatch.setattr(quorum.cli, "execute", lambda *a, **kw: runs.append(a))
     graph = graph_template("puzzle_pipeline").to_json()
     paths = []
     for i, name in enumerate(["a#2", "a", "a"]):
         paths.append(tmp_path / f"g{i}.json")
         paths[-1].write_text(json.dumps({**graph, "name": name}))
-    (tmp_path / "tasks.json").write_text(json.dumps([{"id": "p1", **ROT180_TASK}]))
-    out = tmp_path / "matrix.json"
-    assert main(["graph", "abtest", "--graphs", *map(str, paths), "--tasks", str(tmp_path / "tasks.json"),
-                 "--out", str(out)]) == 2
-    assert "repeat the column name(s) 'a#2'" in capsys.readouterr().err
-    assert runs == [] and not out.exists()
+    with pytest.raises(SystemExit, match="2"):
+        _graph_eval(tmp_path, _solver_config(tmp_path), paths)
+    assert "repeat the column(s) 'a#2'" in capsys.readouterr().err
+    assert runs == [] and not (tmp_path / "runs").exists()
 
 
 @pytest.mark.parametrize("case", [
@@ -1245,8 +1382,8 @@ def test_path_that_cannot_be_read_or_written_is_exit_2(tmp_path, capsys, eval_se
 @pytest.mark.parametrize("fault", [b"1" + b"0" * 5000, b"\xff", b"[" * 100_000],
                          ids=["integer-too-long", "byte-0xff", "nested-too-deep"])
 @pytest.mark.parametrize("where", [
-    "eval-config", "eval-tasks", "arc-puzzle", "graph-file", "graph-config", "graph-inputs", "abtest-tasks",
-    "mutation-payload",
+    "eval-config", "eval-tasks", "eval-graph", "arc-puzzle", "graph-file", "graph-config", "graph-inputs",
+    "abtest-tasks", "mutation-payload",
 ])
 def test_input_that_is_not_utf8_json_is_exit_2(tmp_path, capsys, eval_setup, fault, where):
     from quorum.fixtures import graph_template
@@ -1255,20 +1392,28 @@ def test_input_that_is_not_utf8_json_is_exit_2(tmp_path, capsys, eval_setup, fau
     bad = tmp_path / "bad.json"
     bad.write_bytes(fault)
     text = os.fsdecode(fault)  # what a command-line argument holding these bytes decodes to
-    if where == "eval-tasks":
-        config_file.write_text(json.dumps({**json.loads(config_file.read_text()), "tasks": str(bad)}))
     task_file = tmp_path / "rot.json"
     task_file.write_text(json.dumps(ROT180_TASK))
     graph = tmp_path / "pipeline.json"
     graph_template("puzzle_pipeline").save(graph)
+    config = json.loads(config_file.read_text())
+    if where == "eval-tasks":
+        config["tasks"] = str(bad)
+    elif where == "eval-graph":
+        config["methods"].append({"graph": str(bad)})
+    elif where == "abtest-tasks":  # two graph columns of one eval config
+        graph.write_text(graph.read_text().replace('"synthesizer"', '"right"'))
+        config.update(tasks=str(bad), methods=[{"graph": str(graph)}] * 2)
+    config_file.write_text(json.dumps(config))
     argv = {
         "eval-config": ["eval", "--config", str(bad)],
         "eval-tasks": ["eval", "--config", str(config_file), "--out", str(tmp_path / "r")],
+        "eval-graph": ["eval", "--config", str(config_file), "--out", str(tmp_path / "r")],
+        "abtest-tasks": ["eval", "--config", str(config_file), "--out", str(tmp_path / "r")],
         "arc-puzzle": ["arc", "verify", "--task", str(bad), "--program", "identity"],
         "graph-file": ["graph", "run", "--graph", str(bad), "--task", str(task_file)],
         "graph-config": ["graph", "run", "--graph", str(graph), "--task", str(task_file), "--config", str(bad)],
         "graph-inputs": ["graph", "run", "--graph", str(graph), "--inputs", text],
-        "abtest-tasks": ["graph", "abtest", "--graphs", str(graph), str(graph), "--tasks", str(bad)],
         "mutation-payload": ["graph", "mutate", "--graph", str(graph), "--mutation", f"edit_param synthesize {text}"],
     }[where]
     assert main(argv) == 2

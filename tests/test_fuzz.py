@@ -41,6 +41,15 @@ def _graph_run(graph, inputs):
         "--config", f"{TMP}/solvers.json"]
 
 
+EVAL_GRAPH_CONFIG = {"solvers": SOLVERS["solvers"], "tasks": f"{TMP}/tasks.json",
+                     "methods": [{"method_id": "zero_shot"}, {"graph": f"{TMP}/graph.json"}]}
+
+
+def _eval_graph(config, graph):
+    return {"config.json": config, "graph.json": graph, "tasks.json": [GAME_TASK]}, [
+        "eval", "--config", f"{TMP}/config.json", "--out", f"{TMP}/runs"]
+
+
 def _mutation_line(parts):
     """The ``KIND TARGET PAYLOAD`` line, with each part that is not a string as JSON."""
     parts = parts if isinstance(parts, list) else [parts]
@@ -55,6 +64,8 @@ TARGETS = {
     "eval-tasks": (GOLDEN_TASKS, lambda doc: (
         {"config.json": {**GOLDEN_CONFIG, "tasks": f"{TMP}/tasks.json"}, "tasks.json": doc},
         ["eval", "--config", f"{TMP}/config.json", "--out", f"{TMP}/runs"])),
+    "eval-graph-config": (EVAL_GRAPH_CONFIG, lambda doc: _eval_graph(doc, _template("olympiad_pipeline"))),
+    "eval-graph-file": (_template("olympiad_pipeline"), lambda doc: _eval_graph(EVAL_GRAPH_CONFIG, doc)),
     "arc-verify": (ROT180_TASK, lambda doc: (
         {"puzzle.json": doc}, ["arc", "verify", "--task", f"{TMP}/puzzle.json", "--program", "rotate180"])),
     "graph-run-puzzle": (_template("puzzle_pipeline"), lambda doc: _graph_run(doc, {"task": ROT180_TASK})),

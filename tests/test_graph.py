@@ -1,4 +1,6 @@
-"""Pipeline graphs: execution, tracing, mutation, proposal lines, A/B."""
+"""Pipeline graphs: execution, tracing, mutation, proposal lines, A/B tests as eval columns."""
+
+import json
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from quorum.graph import (
     MutationError,
     NodeDef,
     PipelineGraph,
-    ab_test,
     execute,
     mutate,
     op_def,
@@ -259,25 +260,31 @@ class TestMutate:
         rng = np.random.default_rng(derive_seed(0, "mutation-fuzz"))
         graph = _diamond_graph()
         kinds = ["add_edge", "remove_edge", "add_node", "remove_node", "edit_param"]
-        accepted = 0
+        accepted = []
         for _ in range(300):
             kind = kinds[int(rng.integers(len(kinds)))]
             nodes = sorted(graph.nodes)
             pick = lambda: nodes[int(rng.integers(len(nodes)))]
+
+            def edit_param():
+                node = pick()
+                keys = op_def(graph.nodes[node].op).params or ("k",)  # a node whose op takes none: rejected
+                return {"node": node, "key": keys[int(rng.integers(len(keys)))], "value": int(rng.integers(10))}
+
             payload = {
                 "add_edge": lambda: {"src": pick(), "out_port": "value", "dst": pick(), "in_port": "value"},
                 "remove_edge": lambda: {"src": pick(), "out_port": "value", "dst": pick(), "in_port": "value"},
                 "add_node": lambda: {"node": f"n{int(rng.integers(1000))}", "op": "const"},
                 "remove_node": lambda: {"node": pick()},
-                "edit_param": lambda: {"node": pick(), "key": "k", "value": int(rng.integers(10))},
+                "edit_param": edit_param,
             }[kind]()
             try:
                 graph = mutate(graph, Mutation(kind, payload))
-                accepted += 1
+                accepted.append(kind)
             except MutationError:
                 continue
             graph.topological_order()  # raises on cycles: never happens
-        assert accepted > 0
+        assert "edit_param" in accepted and len(set(accepted)) > 1
 
 
 class TestProposeRevision:
@@ -324,61 +331,85 @@ class TestProposeRevision:
         mutation = parse_proposal_line("remove_edge left.value->joinpoint.a")
         assert mutation.payload == {"src": "left", "out_port": "value", "dst": "joinpoint", "in_port": "a"}
 
-    def test_accept_if_improves_loop(self):
-        # Apply a proposal, re-execute on a fixture set, keep the variant
-        # only if coverage improves; oracle compares the two matrix columns directly.
-        from quorum.aggregate import success_rate
-
+    def test_accept_if_improves_loop(self, tmp_path):
+        # Apply a proposal, run both graphs as columns of one sweep, and keep
+        # the variant only if coverage improves; oracle compares the two columns directly.
         tasks = [
             {"id": f"t{i}", "prompt": "?", "answer_kind": "text", "reference": "yes"}
             for i in range(12)
         ]
-        graph = PipelineGraph(
-            nodes={"m": NodeDef("run_method", {"method_id": "best_of_n", "n": 1, "solver_id": "s"})},
-            edges=frozenset(),
-            inputs={"task": (("m", "task"),)},
-            outputs={"passed": ("m", "passed")},
-            name="baseline",
-        )
+        graph = _method_variant(1, "baseline")
         revised = mutate(graph, parse_proposal_line('edit_param m {"key": "n", "value": 6}'))
-        ctx = ExecutionContext(
-            solvers={"s": ScriptedSolver("s", {"*": [("yes", 0.5), ("no", 0.5)]}, rng_seed=3)}
-        )
-        matrix = ab_test([graph, revised], tasks, ctx)
-        base, improved = (success_rate(matrix.restrict([c])) for c in matrix.solver_ids)
+        matrix = _eval_matrix(tmp_path, [graph, revised], tasks, COIN, rng_seed=3)
+        base, improved = (sum(column) for column in zip(*matrix["solved"]))
         kept = improved > base
         assert kept  # n=6 rejection sampling dominates n=1 on this fixture
 
 
+COIN = {"*": [["yes", 0.5], ["no", 0.5]]}
+
+
+def _method_variant(n, name):
+    return PipelineGraph(
+        nodes={"m": NodeDef("run_method", {"method_id": "best_of_n", "n": n, "solver_id": "s"})},
+        edges=frozenset(),
+        inputs={"task": (("m", "task"),)},
+        outputs={"answer": ("m", "answer"), "passed": ("m", "passed")},
+        name=name,
+    )
+
+
+def _eval_matrix(tmp_path, graphs, tasks, table, rng_seed=0, code=0):
+    """matrix.json of a `quorum eval` run with one column per graph, whose
+    nodes use the scripted solver ``s`` answering from ``table``, after
+    checking that the run exits with ``code``."""
+    from quorum.cli import main
+
+    tmp_path.mkdir(exist_ok=True)
+    paths = []
+    for i, graph in enumerate(graphs):
+        paths.append(str(tmp_path / f"graph{i}.json"))
+        graph.save(paths[-1])
+    (tmp_path / "tasks.json").write_text(json.dumps(tasks))
+    (tmp_path / "config.json").write_text(json.dumps({
+        "solvers": [{"id": "s", "kind": "scripted", "params": {"table": table, "rng_seed": rng_seed}}],
+        "methods": [{"graph": path} for path in paths],
+        "tasks": str(tmp_path / "tasks.json"),
+    }))
+    out = tmp_path / "runs"
+    assert main(["eval", "--config", str(tmp_path / "config.json"), "--out", str(out)]) == code
+    if code:
+        return None
+    [run_dir] = out.iterdir()
+    return json.loads((run_dir / "matrix.json").read_text())
+
+
 class TestAbTest:
-    def _variant(self, n, name):
-        return PipelineGraph(
-            nodes={"m": NodeDef("run_method", {"method_id": "best_of_n", "n": n, "solver_id": "s"})},
-            edges=frozenset(),
-            inputs={"task": (("m", "task"),)},
-            outputs={"passed": ("m", "passed")},
-            name=name,
-        )
+    """An A/B test of graph variants is one eval run with a column per variant."""
 
-    def test_identical_variants_identical_columns(self):
-        tasks = [{"id": f"t{i}", "prompt": "?", "answer_kind": "text", "reference": "yes"} for i in range(8)]
-        ctx = ExecutionContext(solvers={"s": ScriptedSolver("s", {"*": [("yes", 0.5), ("no", 0.5)]})})
-        matrix = ab_test([self._variant(2, "a"), self._variant(2, "b")], tasks, ctx)
-        assert matrix.column("a") == matrix.column("b")
+    TASKS = [{"id": f"t{i}", "prompt": "?", "answer_kind": "text", "reference": "yes"} for i in range(8)]
 
-    def test_sample_budget_shows_in_accuracy(self):
+    def test_a_column_is_drawn_from_its_own_label(self, tmp_path):
+        # A cell's seed comes from the root seed, the task and the column's
+        # label, so a column does not depend on which columns run beside it.
+        a, b = _method_variant(2, "a"), _method_variant(2, "b")
+        both = _eval_matrix(tmp_path / "both", [a, b], self.TASKS, COIN)
+        swapped = _eval_matrix(tmp_path / "swapped", [b, a], self.TASKS, COIN)
+        alone = _eval_matrix(tmp_path / "alone", [a], self.TASKS, COIN)
+        assert both["solver_ids"] == ["a", "b"] and swapped["solver_ids"] == ["b", "a"]
+        column = [row[0] for row in both["solved"]]
+        assert column == [row[1] for row in swapped["solved"]] == [row[0] for row in alone["solved"]]
+        assert [row[1] for row in both["solved"]] == [row[0] for row in swapped["solved"]]
+
+    def test_sample_budget_shows_in_accuracy(self, tmp_path):
         tasks = [{"id": f"t{i}", "prompt": "?", "answer_kind": "text", "reference": "yes"} for i in range(120)]
-        ctx = ExecutionContext(solvers={"s": ScriptedSolver("s", {"*": [("yes", 0.5), ("no", 0.5)]}, rng_seed=1)})
-        matrix = ab_test([self._variant(1, "small"), self._variant(5, "big")], tasks, ctx)
-        small = sum(matrix.column("small")) / matrix.n_tasks
-        big = sum(matrix.column("big")) / matrix.n_tasks
+        matrix = _eval_matrix(tmp_path, [_method_variant(1, "small"), _method_variant(5, "big")], tasks, COIN,
+                              rng_seed=1)
+        assert matrix["solver_ids"] == ["small", "big"]
+        small, big = (sum(column) / len(tasks) for column in zip(*matrix["solved"]))
         assert abs(small - 0.5) < 0.15
         assert abs(big - (1 - 0.5**5)) < 0.1
 
-    def test_empty_tasks_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ab_test([self._variant(1, "a"), self._variant(2, "b")], [])
-
-    def test_needs_two_variants(self):
-        with pytest.raises(ConfigurationError):
-            ab_test([self._variant(1, "a")], [{"id": "t", "prompt": "?", "answer_kind": "text"}])
+    def test_empty_tasks_rejected(self, tmp_path, capsys):
+        _eval_matrix(tmp_path, [_method_variant(1, "a"), _method_variant(2, "b")], [], COIN, code=2)
+        assert "configuration error: no tasks in" in capsys.readouterr().err

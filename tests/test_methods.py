@@ -249,6 +249,34 @@ class TestMctsResample:
         assert "solver lacks two-stage sampling: rollouts are plain samples" in result.trace.notes
         assert result.candidate.answer.payload == "yes"
 
+    def test_runs_exactly_n_rollouts(self):
+        class Counting:  # its k-th prefix draw gives prefix k mod distinct
+            id = "count"
+            deterministic_timing = True
+
+            def __init__(self, distinct):
+                self.distinct, self.prefix_draws, self.completions = distinct, 0, 0
+
+            def solve(self, task_id, prompt, seed):
+                raise AssertionError("a two-stage rollout makes no plain draw")
+
+            def solve_prefix(self, task_id, prompt, seed):
+                self.prefix_draws += 1
+                return f"P{self.prefix_draws % self.distinct}"
+
+            def solve_completion(self, task_id, prompt, prefix, seed):
+                self.completions += 1
+                return "yes"
+
+        for n in range(2, 11):
+            for distinct in (1, 2, 3):
+                solver = Counting(distinct)
+                result = mcts_resample(solver, YES_TASK, 0, n=n)
+                k = min(distinct, math.isqrt(n - 1) + 1)  # ceil(sqrt(n)) prefixes at most
+                visits = [entry["visits"] for entry in result.trace.extras["prefix_values"]]
+                assert solver.completions == len(result.trace.samples) == n, (n, distinct)
+                assert visits == [n // k + (i < n % k) for i in range(k)], (n, distinct)
+
     def test_no_verifier_uses_modal_agreement(self):
         solver = ScriptedSolver("s", {"*": [("yes", 0.5), ("no", 0.5)]}, two_stage=self.TWO_STAGE)
         result = mcts_resample(solver, _task(kind="text"), 3, n=9)
@@ -294,6 +322,11 @@ class TestRoundTrip:
             result = round_trip(solver, task, trial, n=5, **FWD_BWD)
             accepted += "accepted_attempt" in result.trace.extras
         assert abs(accepted / trials - (1 - 0.1**5)) < 0.02
+
+    def test_one_round_trip_by_default(self):
+        solver = TransformSolver("bad", lambda p, rng: "never restored")
+        result = round_trip(solver, _task(kind="text", prompt="text"), 0)
+        assert len(result.trace.samples) == 1 and result.trace.extras.get("round_trip_failed")
 
     def test_failure_flagged(self):
         solver = TransformSolver("bad", lambda p, rng: p.removeprefix("FWD:") + "x"
@@ -428,6 +461,15 @@ class TestLeap:
         )
         result = leap(solver, _task(), 0, examples=[("x", "y")])
         assert result.trace.extras["principles"] == ["rule one", "rule two"]
+
+    def test_principle_prompt_numbers_the_examples_from_one(self):
+        prompts = []
+        solver = TransformSolver("rec", lambda p, rng: prompts.append(p) or "A")
+        leap(solver, _task(), 0, examples=[("1+1", "2"), ("2+2", "4")])
+        assert prompts[0] == ("Derive general principles for solving problems like these examples.\n"
+                              "example 1 input: 1+1\nexample 1 answer: 2\n"
+                              "example 2 input: 2+2\nexample 2 answer: 4\n"
+                              "List one principle per line.")
 
     def test_empty_extraction_falls_back(self):
         solver = ScriptedSolver(
