@@ -82,18 +82,17 @@ class ScriptedSolver:
         self.table = {k: _as_table(v, f"{id} table {k!r}") for k, v in json_object(table, f"{id} table").items()}
         self.rng_seed = integer(rng_seed, f"{id} rng_seed")
         triggers = json_object({} if prompt_triggers is None else prompt_triggers, f"{id} prompt_triggers")
-        self.prompt_triggers = {
+        self.prompt_triggers = {  # in sorted order, the order _table_for tries them in
             trig: {k: _as_table(v, f"{id} trigger {trig!r} table {k!r}")
                    for k, v in json_object(tab, f"{id} trigger {trig!r}").items()}
-            for trig, tab in triggers.items()
+            for trig, tab in sorted(triggers.items())
         }
         stages = json_object({} if two_stage is None else two_stage, f"{id} two_stage")
         self.two_stage = {k: _as_stages(v, k) for k, v in stages.items()}
 
     def _table_for(self, task_id: str, prompt: str) -> AnswerTable:
-        for trig in sorted(self.prompt_triggers):
+        for trig, tabs in self.prompt_triggers.items():
             if trig in prompt:
-                tabs = self.prompt_triggers[trig]
                 if task_id in tabs or DEFAULT_KEY in tabs:
                     return tabs.get(task_id, tabs.get(DEFAULT_KEY))
         if task_id in self.table:

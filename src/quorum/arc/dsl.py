@@ -178,20 +178,20 @@ def _apply(op: Op, grid: Grid, history: list[Grid]) -> Grid:
     if name == "identity":
         return grid
     if name == "rotate90":
-        return Grid(tuple(tuple(cells[h - 1 - r][c] for r in range(h)) for c in range(w)))
+        return Grid(tuple(zip(*reversed(cells))))
     if name == "rotate180":
-        return Grid(tuple(tuple(reversed(row)) for row in reversed(cells)))
+        return Grid(tuple(row[::-1] for row in reversed(cells)))
     if name == "rotate270":
-        return Grid(tuple(tuple(cells[r][w - 1 - c] for r in range(h)) for c in range(w)))
+        return Grid(tuple(zip(*cells))[::-1])
     if name == "flip_h":
-        return Grid(tuple(tuple(reversed(row)) for row in cells))
+        return Grid(tuple(row[::-1] for row in cells))
     if name == "flip_v":
-        return Grid(tuple(reversed(cells)))
+        return Grid(cells[::-1])
     if name == "transpose":
-        return Grid(tuple(tuple(cells[r][c] for r in range(h)) for c in range(w)))
+        return Grid(tuple(zip(*cells)))
     if name == "recolor":
         mapping = dict(op.args)
-        return Grid(tuple(tuple(mapping.get(v, v) for v in row) for row in cells))
+        return Grid(tuple(tuple(map(mapping.get, row, row)) for row in cells))
     if name == "crop":
         r0, c0, ch, cw = op.args
         if r0 + ch > h or c0 + cw > w:
@@ -205,13 +205,12 @@ def _apply(op: Op, grid: Grid, history: list[Grid]) -> Grid:
         return Grid((blank,) * top + middle + (blank,) * bottom)
     if name == "translate":
         dr, dc, fill = op.args
-        out = [[fill] * w for _ in range(h)]
-        for r in range(h):
-            for c in range(w):
-                nr, nc = r + dr, c + dc
-                if 0 <= nr < h and 0 <= nc < w:
-                    out[nr][nc] = cells[r][c]
-        return Grid(tuple(tuple(row) for row in out))
+        cut = min(abs(dc), w)  # columns shifted out of each row
+        edge = (fill,) * cut
+        rows = tuple(edge + row[:w - cut] if dc >= 0 else row[cut:] + edge for row in cells)
+        cut = min(abs(dr), h)
+        blank = ((fill,) * w,) * cut
+        return Grid(blank + rows[:h - cut] if dr >= 0 else rows[cut:] + blank)
     if name == "tile":
         ry, rx = op.args
         if h * ry > MAX_SIDE or w * rx > MAX_SIDE:

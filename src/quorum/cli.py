@@ -16,7 +16,6 @@ are byte-reproducible.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -36,7 +35,7 @@ from .core.model import Candidate, Task, Verdict
 from .core.runstore import CellRecord, RunStore
 from .core.verify import verify
 from .errors import (ConfigurationError, DslSyntaxError, IntractableError, MalformedAnswerError, QuorumError,
-                     integer, json_object, list_of, parse_json, read_json, string)
+                     integer, json_object, list_of, parse_json, read_json, string, write_json)
 from .graph.execute import execute
 from .graph.model import PipelineGraph
 from .graph.ops import ExecutionContext, check_solvers
@@ -169,11 +168,7 @@ def cmd_eval(args) -> int:
 
     tasks = [Task.from_dict(e) for e in _load_task_entries(config["tasks"])]
     store = RunStore(out_root)  # an --out that is not a directory stops the run here
-
-    config_snapshot = {"config": config, "seed": seed}
-    run_id = "run-" + hashlib.sha256(
-        json.dumps(config_snapshot, sort_keys=True).encode()
-    ).hexdigest()[:12]
+    run_id = store.create_run({"config": config, "seed": seed})
 
     failures = []  # (position, cause) of each cell that raised, appended from any worker thread
 
@@ -210,20 +205,17 @@ def cmd_eval(args) -> int:
     # and the store writes each cell as it comes.
     cells = enumerate(product(tasks, columns))
     if deterministic or (args.parallel or 1) <= 1:
-        matrix = store.record_run(run_id, config_snapshot, map(run_cell, cells))
+        matrix = store.record_run(run_id, map(run_cell, cells))
     else:
         with ThreadPoolExecutor(max_workers=args.parallel) as pool:
-            matrix = store.record_run(run_id, config_snapshot,
-                                      _ordered_map(pool, run_cell, cells, 2 * args.parallel))
+            matrix = store.record_run(run_id, _ordered_map(pool, run_cell, cells, 2 * args.parallel))
 
     run_dir = out_root / run_id
     table = render_matrix(matrix)
     (run_dir / "matrix.txt").write_text(table)
     curve = coverage_curve(matrix)
     (run_dir / "coverage.csv").write_text(curve.to_csv())
-    with open(run_dir / "matrix.json", "w") as fh:
-        json.dump(matrix.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(run_dir / "matrix.json", matrix.to_json())
     print(table)
     print(f"success rate (any column): {success_rate(matrix):.4f}")
     print(f"run: {run_id} -> {run_dir}")
@@ -256,7 +248,7 @@ def cmd_arc(args) -> int:
         if args.out:
             from .core.runstore import verdict_to_json
 
-            Path(args.out).write_text(json.dumps(verdict_to_json(verdict), indent=2) + "\n")
+            write_json(args.out, verdict_to_json(verdict))
         return EXIT_OK if verdict.is_pass else EXIT_VERIFY_FAILED
 
     if args.arc_command == "predict":
@@ -267,9 +259,7 @@ def cmd_arc(args) -> int:
                 print()
             print(grid.to_text())
         if args.out:
-            Path(args.out).write_text(
-                json.dumps([g.to_lists() for g in grids], indent=2) + "\n"
-            )
+            write_json(args.out, [g.to_lists() for g in grids])
         return EXIT_OK
 
     if args.arc_command in ("augment", "loo"):
@@ -282,7 +272,7 @@ def cmd_arc(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         for variant in variants:
             name = variant.id.replace(":", "_") + ".json"
-            (out_dir / name).write_text(json.dumps(variant.to_dict(), indent=1) + "\n")
+            write_json(out_dir / name, variant.to_dict())
         print(f"{len(variants)} {what} written to {out_dir}")
         return EXIT_OK
 
@@ -333,7 +323,7 @@ def cmd_game(args) -> int:
               f"{sum(t.total_reward for t in trajectories) / args.simulate:.3f}")
 
     if args.out:
-        Path(args.out).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+        write_json(args.out, record)
     return EXIT_OK
 
 

@@ -2,11 +2,13 @@
 
 A run is a directory: ``config.json`` (the configuration snapshot) and
 ``record.jsonl`` with one JSON object per (task, solver) cell.
-``config.json`` is written before the first cell. The cells stream, in
-canonical (task, column) order, to ``record.jsonl.tmp``, one line as
-each arrives; the file is renamed over ``record.jsonl`` only after the
-last cell, so ``record.jsonl`` never holds part of a run, and a
-``record.jsonl.tmp`` left behind holds the cells of an interrupted run
+``config.json`` holds ``json.dumps(snapshot, sort_keys=True)`` and a
+newline; that text names the run (``"run-"`` and the first 12 hex digits
+of its sha256), and it is written before the first cell. The cells
+stream, in canonical (task, column) order, to ``record.jsonl.tmp``, one
+line as each arrives; the file is renamed over ``record.jsonl`` only
+after the last cell, so ``record.jsonl`` never holds part of a run, and
+a ``record.jsonl.tmp`` left behind holds the cells of an interrupted run
 that finished before it stopped. Loading a run rebuilds the result
 matrix bit-exactly.
 Field names in the files are part of the stable interface:
@@ -21,6 +23,7 @@ verdict keys: ``status``, ``detail``, ``checks`` (list of
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -31,6 +34,10 @@ from ..aggregate.matrix import ResultMatrix
 from ..errors import ConfigurationError, QuorumError, RecordParseError, json_object, read_json
 from .answers import AnswerValue, normalize_answer
 from .model import Candidate, Check, Verdict
+
+# One encoder for every cell line: the bytes of json.dumps(cell, sort_keys=True)
+# without building an encoder per cell.
+_CELL_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 def _answer_to_json(answer: Optional[AnswerValue]):
@@ -158,22 +165,31 @@ class RunStore:
     def _dir(self, run_id: str) -> Path:
         return self.root / run_id
 
-    def record_run(self, run_id: str, config: dict, cells: Iterable[CellRecord]) -> ResultMatrix:
-        """Store a run whose cells arrive in canonical (task, column) order
-        and return its result matrix. Each cell is appended to
-        ``record.jsonl.tmp`` as it arrives, and only its outcome is kept; an
-        exception from ``cells`` leaves the lines written so far in the tmp
-        file and no ``record.jsonl``."""
+    def create_run(self, config: dict) -> str:
+        """Write the run that ``config`` names: its directory and its
+        ``config.json``. Returns the run id. The config is encoded once, and
+        its text is not kept, so a sweep does not hold it."""
+        data = json.dumps(config, sort_keys=True).encode()
+        run_id = "run-" + hashlib.sha256(data).hexdigest()[:12]
         run_dir = self._dir(run_id)
         run_dir.mkdir(parents=True, exist_ok=True)
-        with open(run_dir / "config.json", "w") as fh:
-            json.dump(config, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        with open(run_dir / "config.json", "wb") as fh:
+            fh.write(data)
+            fh.write(b"\n")
+        return run_id
+
+    def record_run(self, run_id: str, cells: Iterable[CellRecord]) -> ResultMatrix:
+        """Store the cells of a created run, arriving in canonical (task,
+        column) order, and return its result matrix. Each cell is appended
+        to ``record.jsonl.tmp`` as it arrives, and only its outcome is kept;
+        an exception from ``cells`` leaves the lines written so far in the
+        tmp file and no ``record.jsonl``."""
+        run_dir = self._dir(run_id)
         tmp = run_dir / "record.jsonl.tmp"
         outcomes = []
         with open(tmp, "w") as fh:
             for cell in cells:
-                fh.write(json.dumps(cell.to_json(), sort_keys=True))
+                fh.write(_CELL_ENCODER.encode(cell.to_json()))
                 fh.write("\n")
                 outcomes.append(_outcome(cell))
         os.replace(tmp, run_dir / "record.jsonl")

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package, the one reader of every
-outside JSON document, and the shape vocabulary of every loader: each
-helper returns its value (a list as a tuple), else raises a
-ConfigurationError naming ``what``."""
+outside JSON document and the writer of the JSON files quorum leaves for
+programs, and the shape vocabulary of every loader: each helper returns
+its value (a list as a tuple), else raises a ConfigurationError naming
+``what``."""
 
 import json
 import math
@@ -32,6 +33,15 @@ def read_json(path, what: str):
     raises OSError."""
     with open(path, "rb") as fh:
         return parse_json(fh.read(), f"{what} {path}")
+
+
+def write_json(path, value) -> None:
+    """Write ``value`` to ``path`` as ``json.dumps(value, sort_keys=True)`` and
+    a newline: one line, encoded by the C encoder, which pretty-printing
+    (``indent``) would bypass."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(value, sort_keys=True))
+        fh.write("\n")
 
 
 def json_object(value, what: str, required=(), keys=None) -> dict:

@@ -1,6 +1,7 @@
 """Puzzle model, grid DSL, exact verifier, augmentation, prompts."""
 
 import json
+import random
 import stat
 import subprocess
 import sys
@@ -41,6 +42,28 @@ def grids(max_side=6):
             max_size=hw[0],
         ).map(Grid.from_rows)
     )
+
+
+def _translate_per_cell(cells, h, w, dr, dc, fill):
+    out = [[fill] * w for _ in range(h)]
+    for r in range(h):
+        for c in range(w):
+            nr, nc = r + dr, c + dc
+            if 0 <= nr < h and 0 <= nc < w:
+                out[nr][nc] = cells[r][c]
+    return out
+
+
+# The interpreter's ops as per-cell formulas, as it once computed them; each
+# op built from zip and slices must equal its formula.
+PER_CELL = {
+    "rotate90": lambda cells, h, w: [[cells[h - 1 - r][c] for r in range(h)] for c in range(w)],
+    "rotate180": lambda cells, h, w: [[cells[h - 1 - r][w - 1 - c] for c in range(w)] for r in range(h)],
+    "rotate270": lambda cells, h, w: [[cells[r][w - 1 - c] for r in range(h)] for c in range(w)],
+    "flip_h": lambda cells, h, w: [[cells[r][w - 1 - c] for c in range(w)] for r in range(h)],
+    "flip_v": lambda cells, h, w: [[cells[h - 1 - r][c] for c in range(w)] for r in range(h)],
+    "transpose": lambda cells, h, w: [[cells[r][c] for r in range(h)] for c in range(w)],
+}
 
 
 def _rot90_oracle(grid: Grid) -> Grid:
@@ -116,6 +139,30 @@ class TestEvalSemantics:
     def test_rotate90_matches_oracle(self):
         g = Grid.from_rows([[1, 2, 3], [4, 5, 6]])
         assert eval_dsl(parse_dsl("rotate90"), g) == _rot90_oracle(g)
+
+    def test_each_op_equals_its_per_cell_formula_on_every_shape(self):
+        def run(op, g):
+            return eval_dsl(DslProgram((op,)), g)
+
+        rng = random.Random(23)
+        for h in range(1, 31):
+            for w in range(1, 31):
+                g = Grid.from_rows([[rng.randrange(10) for _ in range(w)] for _ in range(h)])
+                cells = g.cells
+                for name, formula in PER_CELL.items():
+                    assert run(Op(name), g) == Grid.from_rows(formula(cells, h, w)), (name, h, w)
+                sources = rng.sample(range(10), rng.randint(1, 10))
+                pairs = tuple((a, rng.randrange(10)) for a in sources)
+                mapping = dict(pairs)
+                want = [[mapping.get(v, v) for v in row] for row in cells]
+                assert run(Op("recolor", pairs), g) == Grid.from_rows(want), (pairs, h, w)
+                # offsets inside, on and past every edge
+                offsets = {(0, 0), (h, w), (-h, -w), (h + 2, -1), (1, -w - 3), (-h + 1, w - 1)}
+                offsets |= {(rng.randint(-h - 2, h + 2), rng.randint(-w - 2, w + 2)) for _ in range(4)}
+                for dr, dc in sorted(offsets):
+                    fill = rng.randrange(10)
+                    want = _translate_per_cell(cells, h, w, dr, dc, fill)
+                    assert run(Op("translate", (dr, dc, fill)), g) == Grid.from_rows(want), (dr, dc, h, w)
 
     def test_recolor(self):
         g = Grid.from_rows([[1, 0], [1, 1]])

@@ -1,5 +1,6 @@
 """Command-line interface: sweeps, puzzle commands, games, graphs."""
 
+import ast
 import itertools
 import json
 import os
@@ -66,7 +67,8 @@ class TestEval:
         assert len(run_dirs) == 1
         run_dir = run_dirs[0]
         assert (run_dir / "record.jsonl").exists()
-        assert (run_dir / "config.json").exists()
+        config = (run_dir / "config.json").read_text()  # one line, whose sha256 names the run
+        assert config.count("\n") == 1 and run_dir.name == "run-" + sha256(config[:-1].encode()).hexdigest()[:12]
         assert (run_dir / "matrix.txt").exists()
         curve = (run_dir / "coverage.csv").read_text()
         assert curve.splitlines()[0] == "solver,cum_solved,cum_fraction"
@@ -773,6 +775,58 @@ class TestArcCli:
         code = main(["arc", "verify", "--task", str(task_file),
                      "--external", sys.executable, str(script)])
         assert code == 0
+
+
+# sha256 of each command's files, parsed and re-encoded with sorted keys:
+# the values the files held when they were indented, so writing them on one
+# line changed no value.
+WRITTEN_VALUES = {
+    "augment": (8, "64788e7319c2c0d4a393dcec17fb87077d4377c6a58a8febacfcbf985ab0bfb0"),
+    "loo": (2, "3cfb4a1d97985b99e1d0edac349702d9c7ffaf61b8a351957fb152cca31ef136"),
+    "predict": (1, "1fb9d2f7e08410d28ebea5e78a8e1f9a866bd9503ac0104f73b7f8ea5e769287"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(WRITTEN_VALUES))
+def test_arc_files_are_one_line_and_keep_their_values(tmp_path, command):
+    task_file, out = tmp_path / "task.json", tmp_path / "out"
+    task_file.write_text(json.dumps(ASYMMETRIC_TASK))
+    out.mkdir()
+    argv = (["--program", "rotate90; recolor(2->5)", "--unsafe", "--out", str(out / "predict.json")]
+            if command == "predict" else ["--out", str(out)])
+    assert main(["arc", command, "--task", str(task_file), *argv]) == 0
+    texts = {p.name: p.read_text() for p in sorted(out.iterdir())}
+    assert all(text.count("\n") == 1 and text.endswith("\n") for text in texts.values())
+    values = {name: json.loads(text) for name, text in texts.items()}
+    assert (len(values), sha256(json.dumps(values, sort_keys=True).encode()).hexdigest()) == WRITTEN_VALUES[command]
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "quorum"
+
+# The writers that keep their indented format: graph run output (its
+# digests are pinned), graph files (people edit them by hand) and the chat
+# reply cache. Every other JSON file quorum writes is one line from the C
+# encoder.
+INDENTED_WRITERS = {("cli.py", "cmd_graph"), ("graph/model.py", "PipelineGraph.save"),
+                    ("adapters/chat.py", "ChatClient._cache_write")}
+
+
+def test_only_the_kept_writers_indent_their_json():
+    found = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                dump = isinstance(func, ast.Attribute) and func.attr == "dump" and getattr(func.value, "id", None) == "json"
+                if dump or any(keyword.arg == "indent" for keyword in child.keywords):
+                    found.add((module, scope))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, module, f"{scope}.{child.name}".lstrip(".") if named else scope)
+
+    for path in sorted(SRC.rglob("*.py")):
+        visit(ast.parse(path.read_text()), path.relative_to(SRC).as_posix(), "")
+    assert found == INDENTED_WRITERS
 
 
 SHAPE_PUZZLE = {"train": [{"input": [[1, 2], [3, 4]], "output": [[4, 3], [2, 1]]}]}  # 2x2 train output

@@ -1,5 +1,6 @@
 """Core domain model: normalization, verification, run persistence."""
 
+import hashlib
 import json
 
 import pytest
@@ -321,51 +322,62 @@ class TestRunStore:
                 yield CellRecord(f"t{i}", f"s{k}", cand, verdict, ts_ms=0)
 
     def _store(self, tmp_path):
+        """The store and the id of a run of ``CONFIG`` stored in it."""
         store = RunStore(tmp_path)
-        store.record_run("r1", self.CONFIG, list(self._cells()))
-        return store
+        run_id = store.create_run(self.CONFIG)
+        store.record_run(run_id, list(self._cells()))
+        return store, run_id
 
     def test_round_trip_identity(self, tmp_path):
         store = RunStore(tmp_path)
         cells = list(self._cells())
-        matrix = store.record_run("r1", self.CONFIG, cells)
-        loaded = store.load_run("r1")
-        assert loaded.run_id == "r1"
+        run_id = store.create_run(self.CONFIG)
+        matrix = store.record_run(run_id, cells)
+        loaded = store.load_run(run_id)
+        assert loaded.run_id == run_id
         assert loaded.config == self.CONFIG
         assert loaded.cells == cells
         assert loaded.to_matrix() == matrix
 
+    def test_the_run_id_is_named_by_the_config_text(self, tmp_path):
+        store, run_id = self._store(tmp_path)
+        text = (tmp_path / run_id / "config.json").read_text()
+        assert text == json.dumps(self.CONFIG, sort_keys=True) + "\n"
+        assert run_id == "run-" + hashlib.sha256(text.removesuffix("\n").encode()).hexdigest()[:12]
+
     def test_cells_from_a_generator_are_stored_as_from_a_list(self, tmp_path):
         listed, streamed = RunStore(tmp_path / "listed"), RunStore(tmp_path / "streamed")
-        matrix = listed.record_run("r1", self.CONFIG, list(self._cells(3, 2)))
-        assert streamed.record_run("r1", self.CONFIG, self._cells(3, 2)) == matrix
+        run_id = listed.create_run(self.CONFIG)
+        matrix = listed.record_run(run_id, list(self._cells(3, 2)))
+        assert streamed.record_run(streamed.create_run(self.CONFIG), self._cells(3, 2)) == matrix
         assert matrix.task_ids == ["t0", "t1", "t2"] and matrix.solver_ids == ["s0", "s1"]
         for name in ("config.json", "record.jsonl"):
-            assert (tmp_path / "streamed/r1" / name).read_bytes() == (tmp_path / "listed/r1" / name).read_bytes()
-        assert not (tmp_path / "streamed/r1/record.jsonl.tmp").exists()
+            assert (tmp_path / "streamed" / run_id / name).read_bytes() == \
+                (tmp_path / "listed" / run_id / name).read_bytes()
+        assert not (tmp_path / "streamed" / run_id / "record.jsonl.tmp").exists()
 
     def test_truncated_file_reports_byte_offset(self, tmp_path):
-        store = self._store(tmp_path)
-        path = tmp_path / "r1" / "record.jsonl"
+        store, run_id = self._store(tmp_path)
+        path = tmp_path / run_id / "record.jsonl"
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 30])
         with pytest.raises(RecordParseError) as excinfo:
-            store.load_run("r1")
+            store.load_run(run_id)
         assert excinfo.value.byte_offset > 0
 
     @pytest.mark.parametrize("content", [b"\xff", b"{", b"[" * 100_000, b"[1]"],
                              ids=["not-utf8", "not-json", "too-deep", "not-an-object"])
     def test_corrupt_config_is_a_record_parse_error(self, tmp_path, content):
-        store = self._store(tmp_path)
-        (tmp_path / "r1" / "config.json").write_bytes(content)
+        store, run_id = self._store(tmp_path)
+        (tmp_path / run_id / "config.json").write_bytes(content)
         with pytest.raises(RecordParseError) as excinfo:
-            store.load_run("r1")
+            store.load_run(run_id)
         assert excinfo.value.byte_offset == 0
 
     @pytest.mark.parametrize("edit", ["too-deep", "candidate-not-an-object", "answer-not-of-its-kind"])
     def test_corrupt_cell_line_is_a_record_parse_error(self, tmp_path, edit):
-        store = self._store(tmp_path)
-        path = tmp_path / "r1" / "record.jsonl"
+        store, run_id = self._store(tmp_path)
+        path = tmp_path / run_id / "record.jsonl"
         first, *rest = path.read_text().splitlines(keepends=True)
         cell = json.loads(rest[0])
         if edit == "candidate-not-an-object":
@@ -375,7 +387,7 @@ class TestRunStore:
         line = "[" * 100_000 if edit == "too-deep" else json.dumps(cell)
         path.write_text(first + line + "\n" + "".join(rest[1:]))
         with pytest.raises(RecordParseError) as excinfo:
-            store.load_run("r1")
+            store.load_run(run_id)
         assert excinfo.value.byte_offset == len(first.encode())
 
     def test_matrix_rebuild_matches_independent_recount(self, tmp_path):
@@ -402,12 +414,13 @@ class TestRunStore:
                 )
                 cells.append(CellRecord(task_id, method, cand, verdict, ts_ms=0))
         store = RunStore(tmp_path)
-        store.record_run("fixture-run", {}, cells)
-        loaded = store.load_run("fixture-run")
+        run_id = store.create_run({})
+        store.record_run(run_id, cells)
+        loaded = store.load_run(run_id)
         matrix = loaded.to_matrix()
         assert matrix.n_tasks == 9 and matrix.n_solvers == 8
 
-        raw = (tmp_path / "fixture-run" / "record.jsonl").read_text().splitlines()
+        raw = (tmp_path / run_id / "record.jsonl").read_text().splitlines()
         recount = {}
         for line in raw:
             obj = json.loads(line)

@@ -272,10 +272,13 @@ class TestMctsResample:
             for distinct in (1, 2, 3):
                 solver = Counting(distinct)
                 result = mcts_resample(solver, YES_TASK, 0, n=n)
-                k = min(distinct, math.isqrt(n - 1) + 1)  # ceil(sqrt(n)) prefixes at most
+                wanted = math.isqrt(n - 1) + 1  # ceil(sqrt(n)) prefixes at most
+                k = min(distinct, wanted)
                 visits = [entry["visits"] for entry in result.trace.extras["prefix_values"]]
                 assert solver.completions == len(result.trace.samples) == n, (n, distinct)
                 assert visits == [n // k + (i < n % k) for i in range(k)], (n, distinct)
+                # prefix draws stop at the wanted count, else after 4 per wanted prefix
+                assert solver.prefix_draws == (wanted if distinct >= wanted else 4 * wanted), (n, distinct)
 
     def test_no_verifier_uses_modal_agreement(self):
         solver = ScriptedSolver("s", {"*": [("yes", 0.5), ("no", 0.5)]}, two_stage=self.TWO_STAGE)

@@ -45,13 +45,14 @@ def _external_output(tmp_path, rows, text):
 def _stored_answer(tmp_path, rows, text):
     store = RunStore(tmp_path)
     candidate = Candidate(normalize_answer([[1, 2], [3, 4]], "grid"), "s", "zero_shot", 0)
-    store.record_run("r", {}, [CellRecord("t", "s", candidate, Verdict.errored("unverifiable"))])
-    path = tmp_path / "r" / "record.jsonl"
+    run_id = store.create_run({})
+    store.record_run(run_id, [CellRecord("t", "s", candidate, Verdict.errored("unverifiable"))])
+    path = tmp_path / run_id / "record.jsonl"
     cell = json.loads(path.read_text())
     cell["candidate"]["answer"] = rows
     path.write_text(json.dumps(cell) + "\n")
     with pytest.raises(RecordParseError, match="bad grid answer"):
-        store.load_run("r")
+        store.load_run(run_id)
 
 
 # Puzzle files are the fourth reader; tests/test_arc.py covers them.
