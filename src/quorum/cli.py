@@ -16,13 +16,17 @@ are byte-reproducible.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from itertools import product
+from dataclasses import dataclass
+from functools import cache, partial
+from itertools import product, starmap
 from pathlib import Path
+from typing import Callable
 
 from .adapters import resolve_solvers
 from .aggregate import coverage_curve, render_matrix, success_rate, table_name
@@ -32,13 +36,12 @@ from .arc.programs import ExternalProgram, predict, verify_program
 from .arc.task import ArcTask
 from .core.answers import normalize_answer
 from .core.model import Candidate, Task, Verdict
-from .core.runstore import CellRecord, RunStore
+from .core.runstore import CellRecord, RunStore, verdict_to_json
 from .core.verify import verify
 from .errors import (ConfigurationError, DslSyntaxError, IntractableError, MalformedAnswerError, QuorumError,
                      integer, json_object, list_of, parse_json, read_json, string, write_json)
-from .graph.execute import execute
+from .graph.execute import BoundGraph, bind, execute
 from .graph.model import PipelineGraph
-from .graph.ops import ExecutionContext, check_solvers
 from .graph.mutate import mutate, parse_proposal_line
 from .methods import MethodConfig, run_method
 from .seeds import derive_seed
@@ -63,11 +66,13 @@ def _load_eval_config(path: str) -> dict:
     return config
 
 
-def _load_task_entries(path) -> tuple[dict, ...]:
-    """The entries of a tasks file, else a ConfigurationError: the file
-    must hold a non-empty JSON list of objects, each with its own
-    non-empty string ``id`` that a result table can hold."""
-    entries = list_of(read_json(path, "the tasks file"), f"the tasks in {path}")
+def _load_tasks(path) -> tuple[list[Task], str]:
+    """The tasks of a tasks file and the sha256 of its bytes, else a
+    ConfigurationError: the file must hold a non-empty JSON list of task
+    objects, each with its own non-empty string ``id`` that a result table
+    can hold."""
+    data = Path(path).read_bytes()
+    entries = list_of(parse_json(data, f"the tasks file {path}"), f"the tasks in {path}")
     if not entries:
         raise ConfigurationError(f"no tasks in {path}")
     ids = set()
@@ -78,13 +83,13 @@ def _load_task_entries(path) -> tuple[dict, ...]:
         if task_id in ids:
             raise ConfigurationError(f"{path}: two tasks have the id {task_id!r}")
         ids.add(task_id)
-    return entries
+    return [Task.from_dict(entry) for entry in entries], hashlib.sha256(data).hexdigest()
 
 
-def _load_graph_column(entry: dict, solvers: dict) -> PipelineGraph:
+def _load_graph_column(entry: dict, solvers: dict) -> BoundGraph:
     """The graph a ``{"graph": PATH}`` methods entry names, checked whole: it
     validates, takes no input but ``task``, declares an ``answer`` output, and
-    its nodes name only configured solvers and methods entries eval takes."""
+    binds to ``solvers``."""
     path = string(json_object(entry, "a graph entry", required=("graph",), keys=())["graph"], "a graph entry's path")
     graph = PipelineGraph.load(path)
     table_name(string(graph.name, f"the name of graph {path}", nonempty=True), f"the name of graph {path}")
@@ -92,18 +97,32 @@ def _load_graph_column(entry: dict, solvers: dict) -> PipelineGraph:
         raise ConfigurationError(f"graph {path} takes inputs {sorted(graph.inputs)}; an eval column gives only 'task'")
     if "answer" not in graph.outputs:
         raise ConfigurationError(f"graph {path} declares no 'answer' output")
-    check_solvers(graph, solvers)
-    return graph
+    return bind(graph, solvers)
 
 
-def _run_graph(graph: PipelineGraph, task: Task, ctx: ExecutionContext, column: str,
-               timed: bool) -> tuple[Candidate, dict]:
-    """The candidate of a graph cell: its ``answer`` output normalized to the
-    task's kind, or an error naming a failed node or the missing answer, and
-    its wall time when ``timed``.  The graph's own ``passed`` output and its
-    trace go into the cell's trace only."""
+@dataclass(frozen=True)
+class _Column:
+    """One column of a sweep, built when the config loads."""
+
+    label: str
+    solver_id: str  # the candidate's, on a cell that raises
+    method_id: str  # likewise
+    seed_labels: tuple  # a cell's seed derives from the root seed, the task id and these
+    run: Callable  # run(task, seed) -> the cell's (candidate, verdict, trace)
+
+
+def _run_method(config: MethodConfig, solver, task: Task, seed: int) -> tuple[Candidate, Verdict, dict]:
+    result, verdict = run_method(config, solver, task, seed=seed)
+    return result.candidate, verdict, result.trace.to_json()
+
+
+def _run_graph(bound: BoundGraph, column: str, timed: bool, task: Task, seed: int) -> tuple[Candidate, Verdict, dict]:
+    """A graph cell: its candidate is the ``answer`` output normalized to the
+    task's kind, or an error naming a failed node or the missing answer, with
+    its wall time when ``timed``, and ``verify`` judges it.  The graph's own
+    ``passed`` output and its trace go into the cell's trace only."""
     start = time.monotonic()
-    outputs, trace = execute(graph, {"task": task}, ctx)
+    outputs, trace = execute(bound, {"task": task}, seed)
     elapsed_ms = int((time.monotonic() - start) * 1000) if timed else 0
     failed = [entry for entry in trace.entries if entry.error]
     answer = error = None
@@ -116,13 +135,30 @@ def _run_graph(graph: PipelineGraph, task: Task, ctx: ExecutionContext, column: 
             answer = normalize_answer(outputs["answer"], task.answer_kind)
         except MalformedAnswerError as exc:
             error = f"malformed output: {exc}"
-    candidate = Candidate(answer=answer, solver_id=column, method_id="graph", seed=ctx.seed, elapsed_ms=elapsed_ms,
+    candidate = Candidate(answer=answer, solver_id=column, method_id="graph", seed=seed, elapsed_ms=elapsed_ms,
                           error=error)
-    return candidate, {"passed": bool(outputs.get("passed")), **trace.to_json()}
+    return candidate, verify(task, candidate), {"passed": bool(outputs.get("passed")), **trace.to_json()}
+
+
+def _run_cell(seed: int, timed: bool, task: Task, column: _Column) -> CellRecord:
+    """The cell of ``task`` in ``column``; one that raises (but for a config
+    mistake) becomes an error cell naming its cause, without a trace."""
+    cell_seed = derive_seed(seed, task.id, *column.seed_labels)
+    try:
+        candidate, verdict, trace = column.run(task, cell_seed)
+    except ConfigurationError:
+        raise
+    except Exception as exc:  # one bad cell becomes an error cell naming its cause; the sweep goes on
+        cause = f"internal error: {type(exc).__name__}: {exc}"
+        candidate = Candidate(answer=None, solver_id=column.solver_id, method_id=column.method_id, seed=cell_seed,
+                              elapsed_ms=0, error=cause)
+        verdict, trace = Verdict.errored(cause), None
+    return CellRecord(task_id=task.id, solver_id=column.label, candidate=candidate, verdict=verdict,
+                      ts_ms=int(time.time() * 1000) if timed else 0, trace=trace)
 
 
 def _ordered_map(pool, fn, items, window: int):
-    """``map(fn, items)`` on ``pool``, in order, with at most ``window``
+    """``starmap(fn, items)`` on ``pool``, in order, with at most ``window``
     calls submitted but not yet taken by the consumer; the calls not
     yet started are cancelled when one raises or the generator is closed."""
     pending = deque()
@@ -130,12 +166,21 @@ def _ordered_map(pool, fn, items, window: int):
         for item in items:
             if len(pending) == window:
                 yield pending.popleft().result()
-            pending.append(pool.submit(fn, item))
+            pending.append(pool.submit(fn, *item))
         while pending:
             yield pending.popleft().result()
     finally:
         for future in pending:
             future.cancel()
+
+
+def _count_errors(cells, errors: list):
+    """``cells``, passed through as they arrive; each internal-error cell (the
+    one kind without a trace) adds ``"TASK COLUMN: CAUSE"`` to ``errors``."""
+    for cell in cells:
+        if cell.trace is None:
+            errors.append(f"{cell.task_id} {cell.solver_id}: {cell.candidate.error}")
+        yield cell
 
 
 def cmd_eval(args) -> int:
@@ -152,63 +197,40 @@ def cmd_eval(args) -> int:
 
     # A method is one column per solver, headed method@solver; a graph is one
     # column, headed by its name, whose nodes name their own solvers.
-    columns = []  # (method config or graph, the candidate's solver id, column label)
-    names = [unit.name if isinstance(unit, PipelineGraph) else unit.method_id for unit in units]
+    columns = []
+    names = [unit.graph.name if isinstance(unit, BoundGraph) else unit.method_id for unit in units]
     for i, (unit, name) in enumerate(zip(units, names)):
         label = f"{name}#{names[:i].count(name) + 1}" if names.count(name) > 1 else name
-        if isinstance(unit, PipelineGraph):
-            columns.append((unit, label, label))
+        if isinstance(unit, BoundGraph):
+            columns.append(_Column(label, label, "graph", (label,),
+                                   partial(_run_graph, unit, label, not deterministic)))
         else:
-            columns.extend((unit, sid, f"{label}@{sid}") for sid in sorted(solvers))
-    labels = [col for _, _, col in columns]
-    clashes = sorted({col for col in labels if labels.count(col) > 1})
+            columns.extend(_Column(f"{label}@{sid}", sid, unit.method_id, (sid, unit.method_id),
+                                   partial(_run_method, unit, solvers[sid])) for sid in sorted(solvers))
+    labels = [column.label for column in columns]
+    clashes = sorted({label for label in labels if labels.count(label) > 1})
     if clashes:
         raise ConfigurationError(f"the methods entries repeat the column(s) {', '.join(map(repr, clashes))}; "
                                  "rename a graph")
 
-    tasks = [Task.from_dict(e) for e in _load_task_entries(config["tasks"])]
+    tasks, tasks_sha256 = _load_tasks(config["tasks"])
     store = RunStore(out_root)  # an --out that is not a directory stops the run here
-    run_id = store.create_run({"config": config, "seed": seed})
-
-    failures = []  # (position, cause) of each cell that raised, appended from any worker thread
-
-    def run_cell(numbered) -> CellRecord:
-        position, (task, (unit, sid, col)) = numbered
-        graph = isinstance(unit, PipelineGraph)
-        method_id = "graph" if graph else unit.method_id
-        cell_seed = derive_seed(seed, task.id, col) if graph else derive_seed(seed, task.id, sid, method_id)
-        try:
-            if graph:
-                candidate, trace = _run_graph(unit, task, ExecutionContext(solvers, cell_seed), col, not deterministic)
-                verdict = verify(task, candidate)
-            else:
-                result, verdict = run_method(unit, solvers[sid], task, seed=cell_seed)
-                candidate, trace = result.candidate, result.trace.to_json()
-        except ConfigurationError:
-            raise
-        except Exception as exc:  # one bad cell becomes an error cell naming its cause; the sweep goes on
-            cause = f"internal error: {type(exc).__name__}: {exc}"
-            failures.append((position, f"{task.id} {col}: {cause}"))
-            candidate = Candidate(answer=None, solver_id=sid, method_id=method_id, seed=cell_seed,
-                                  elapsed_ms=0, error=cause)
-            verdict, trace = Verdict.errored(cause), None
-        return CellRecord(
-            task_id=task.id,
-            solver_id=col,
-            candidate=candidate,
-            verdict=verdict,
-            ts_ms=0 if deterministic else int(time.time() * 1000),
-            trace=trace,
-        )
+    # The run is named by all that decides its cells: the config, the seed,
+    # the tasks file's bytes and each graph it runs.
+    graphs = [unit.graph.to_json() for unit in units if isinstance(unit, BoundGraph)]
+    run_id = store.create_run({"config": config, "seed": seed, "tasks_sha256": tasks_sha256, "graphs": graphs})
 
     # Both mappers yield in (task, column) order, so the record is canonical,
     # and the store writes each cell as it comes.
-    cells = enumerate(product(tasks, columns))
+    run_cell = partial(_run_cell, seed, not deterministic)
+    cells = product(tasks, columns)
+    errors = []  # of the internal-error cells, in canonical order
     if deterministic or (args.parallel or 1) <= 1:
-        matrix = store.record_run(run_id, map(run_cell, cells))
+        matrix = store.record_run(run_id, _count_errors(starmap(run_cell, cells), errors))
     else:
         with ThreadPoolExecutor(max_workers=args.parallel) as pool:
-            matrix = store.record_run(run_id, _ordered_map(pool, run_cell, cells, 2 * args.parallel))
+            matrix = store.record_run(run_id, _count_errors(
+                _ordered_map(pool, run_cell, cells, 2 * args.parallel), errors))
 
     run_dir = out_root / run_id
     table = render_matrix(matrix)
@@ -219,9 +241,9 @@ def cmd_eval(args) -> int:
     print(table)
     print(f"success rate (any column): {success_rate(matrix):.4f}")
     print(f"run: {run_id} -> {run_dir}")
-    if failures:
-        print(f"internal error in {len(failures)} of {len(tasks) * len(columns)} cell(s); "
-              f"first: {min(failures)[1]}", file=sys.stderr)
+    if errors:
+        print(f"internal error in {len(errors)} of {len(tasks) * len(columns)} cell(s); first: {errors[0]}",
+              file=sys.stderr)
         return EXIT_INTERNAL
     return EXIT_OK
 
@@ -246,8 +268,6 @@ def cmd_arc(args) -> int:
         if verdict.status == "error":
             print(f"error: {verdict.detail}")
         if args.out:
-            from .core.runstore import verdict_to_json
-
             write_json(args.out, verdict_to_json(verdict))
         return EXIT_OK if verdict.is_pass else EXIT_VERIFY_FAILED
 
@@ -262,21 +282,18 @@ def cmd_arc(args) -> int:
             write_json(args.out, [g.to_lists() for g in grids])
         return EXIT_OK
 
-    if args.arc_command in ("augment", "loo"):
-        task = ArcTask.load(args.task)
-        if args.arc_command == "augment":
-            variants, what = augment(task), "variant(s)"
-        else:
-            variants, what = [variant for variant, _held in leave_one_out(task)], "leave-one-out variant(s)"
-        out_dir = Path(args.out or ".")
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for variant in variants:
-            name = variant.id.replace(":", "_") + ".json"
-            write_json(out_dir / name, variant.to_dict())
-        print(f"{len(variants)} {what} written to {out_dir}")
-        return EXIT_OK
-
-    raise ConfigurationError(f"unknown arc subcommand {args.arc_command!r}")
+    task = ArcTask.load(args.task)  # augment or loo, the parser's only other choices
+    if args.arc_command == "augment":
+        variants, what = augment(task), "variant(s)"
+    else:
+        variants, what = [variant for variant, _held in leave_one_out(task)], "leave-one-out variant(s)"
+    out_dir = Path(args.out or ".")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for variant in variants:
+        name = variant.id.replace(":", "_") + ".json"
+        write_json(out_dir / name, variant.to_dict())
+    print(f"{len(variants)} {what} written to {out_dir}")
+    return EXIT_OK
 
 
 # -- game -------------------------------------------------------------------
@@ -341,28 +358,25 @@ def cmd_graph(args) -> int:
             config = json_object(read_json(args.config, "the graph config"), "a graph config")
             solvers = resolve_solvers(config.get("solvers", []), cache_root=Path(
                 string(config.get("out", "runs"), "graph config 'out'")) / "cache")
-        outputs, trace = execute(graph, inputs, ExecutionContext(solvers=solvers, seed=args.seed or 0))
+        outputs, trace = execute(bind(graph, solvers), inputs, args.seed or 0)
         text = json.dumps({"outputs": outputs, "trace": trace.to_json()}, indent=2, sort_keys=True, default=repr)
         print(text)
         if args.out:
             Path(args.out).write_text(text + "\n")
-        failed = [e.node_id for e in trace.entries if e.error]
-        return EXIT_OK if not failed else EXIT_VERIFY_FAILED
+        return EXIT_VERIFY_FAILED if any(e.error for e in trace.entries) else EXIT_OK
 
-    if args.graph_command == "mutate":
-        graph = PipelineGraph.load(args.graph)
-        mutated = mutate(graph, parse_proposal_line(args.mutation))
-        target = Path(args.out or args.graph)
-        mutated.save(target)
-        print(f"mutated graph written to {target}")
-        return EXIT_OK
-
-    raise ConfigurationError(f"unknown graph subcommand {args.graph_command!r}")
+    graph = PipelineGraph.load(args.graph)  # mutate, the parser's only other choice
+    mutated = mutate(graph, parse_proposal_line(args.mutation))
+    target = Path(args.out or args.graph)
+    mutated.save(target)
+    print(f"mutated graph written to {target}")
+    return EXIT_OK
 
 
 # -- parser -----------------------------------------------------------------
 
 
+@cache  # one parser per process: every in-process main() call reuses it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="quorum", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -405,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--graph", required=True)
     p_run.add_argument("--inputs", default=None, help="JSON object of graph inputs")
     p_run.add_argument("--task", default=None, help="puzzle task file bound to the 'task' input")
-    p_run.add_argument("--config", default=None, help="solver config for the execution context")
+    p_run.add_argument("--config", default=None, help="solver config the graph's nodes bind to")
     p_run.add_argument("--out", default=None)
     p_mut = graph_sub.add_parser("mutate")
     p_mut.add_argument("--graph", required=True)
@@ -418,15 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "eval":
-            return cmd_eval(args)
-        if args.command == "arc":
-            return cmd_arc(args)
-        if args.command == "game":
-            return cmd_game(args)
-        if args.command == "graph":
-            return cmd_graph(args)
-        raise ConfigurationError(f"unknown command {args.command!r}")
+        return {"eval": cmd_eval, "arc": cmd_arc, "game": cmd_game, "graph": cmd_graph}[args.command](args)
     except (ConfigurationError, DslSyntaxError, IntractableError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,11 +1,12 @@
-from .execute import Trace, TraceEntry, digest, execute
+from .execute import Trace, TraceEntry, bind, digest, execute
 from .model import Edge, GraphValidationError, NodeDef, PipelineGraph
 from .mutate import MUTATION_KINDS, Mutation, MutationError, mutate, parse_proposal_line
-from .ops import ExecutionContext, op_def
+from .ops import op_def
 
 __all__ = [
     "Trace",
     "TraceEntry",
+    "bind",
     "digest",
     "execute",
     "Edge",
@@ -16,7 +17,6 @@ __all__ = [
     "Mutation",
     "MutationError",
     "mutate",
-    "ExecutionContext",
     "op_def",
     "parse_proposal_line",
 ]

@@ -14,11 +14,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
-from ..errors import ConfigurationError, json_object, list_of, read_json, string
-
-
-class GraphValidationError(ConfigurationError):
-    pass
+from ..errors import json_object, list_of, read_json, string
+from .ops import GraphValidationError, op_def
 
 
 @dataclass(frozen=True)
@@ -51,8 +48,6 @@ class PipelineGraph:
         self.validate()
 
     def validate(self):
-        from .ops import op_def
-
         for node_id, node in self.nodes.items():
             if not node_id:
                 raise GraphValidationError("empty node id")

@@ -256,6 +256,7 @@ def test_criterion_10_graph_module():
         MutationError,
         NodeDef,
         PipelineGraph,
+        bind,
         execute,
         mutate,
     )
@@ -301,7 +302,7 @@ def test_criterion_10_graph_module():
         except GraphValidationError:
             cycles += 1
 
-    outputs, trace = execute(graph, {"value": "v"})
+    outputs, trace = execute(bind(graph, {}), {"value": "v"})
     diamond_ok = (
         outputs["joined"] == "v\nv"
         and set(trace.executed_ids()) == {"src", "left", "right", "joinpoint"}

@@ -108,6 +108,14 @@ class TestSuccessRate:
 
 
 class TestCoverageCurve:
+    def test_a_curve_cannot_be_changed(self):
+        import dataclasses
+
+        curve = coverage_curve(ResultMatrix(["a", "b"], ["s"], [[True], [False]]))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            curve.cumulative_solved = (2,)
+        assert curve.cumulative_solved == (1,)
+
     def test_single_solver_point(self):
         m = ResultMatrix(["a", "b"], ["s"], [[True], [False]])
         curve = coverage_curve(m)

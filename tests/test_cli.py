@@ -87,6 +87,19 @@ class TestEval:
             digests.append((sha256(record).hexdigest(), sha256(config).hexdigest(), run_dir.name))
         assert digests[0] == digests[1]
 
+    def test_an_edited_tasks_file_names_a_new_run(self, eval_setup):
+        config_file, tmp_path = eval_setup
+        out = tmp_path / "runs"
+        assert main(["eval", "--config", str(config_file), "--out", str(out)]) == 0
+        first = _run_dir(out)
+        record = (first / "record.jsonl").read_bytes()
+        tasks = json.loads((tmp_path / "tasks.json").read_text())
+        tasks[1]["reference"] = "A"
+        (tmp_path / "tasks.json").write_text(json.dumps(tasks))
+        assert main(["eval", "--config", str(config_file), "--out", str(out)]) == 0
+        runs = [p for p in out.iterdir() if p.name.startswith("run-")]
+        assert len(runs) == 2 and (first / "record.jsonl").read_bytes() == record
+
     def test_parallel_matches_serial(self, eval_setup):
         config_file, tmp_path = eval_setup
         records = []
@@ -904,8 +917,8 @@ class TestGameCli:
             assert "usage: game coinflip M N" in capsys.readouterr().err
 
 
-def _solver_config(tmp_path, program_text="rotate180"):
-    config = {"solvers": [{"id": "synthesizer", "kind": "scripted",
+def _solver_config(tmp_path, program_text="rotate180", solver_id="synthesizer"):
+    config = {"solvers": [{"id": solver_id, "kind": "scripted",
                            "params": {"table": {"*": [[program_text, 1.0]]}}}]}
     path = tmp_path / "solvers.json"
     path.write_text(json.dumps(config))
@@ -970,7 +983,7 @@ class TestGraphCli:
             graph = tmp_path / "olympiad.json"
             graph_template("olympiad_pipeline").save(graph)
             task = {"id": "q", "prompt": "?", "answer_kind": "bogus"}
-            argv = ["--inputs", json.dumps({"task": task})]
+            argv = ["--inputs", json.dumps({"task": task}), "--config", str(_solver_config(tmp_path, solver_id="primary"))]
             message = "configuration error: task 'q': unknown answer kind 'bogus'"
         else:  # the puzzle template's solve_text node names 'synthesizer'
             graph = self._template_path(tmp_path)
@@ -1056,7 +1069,8 @@ class TestGraphCli:
 
         graph = tmp_path / "olympiad.json"
         graph_template("olympiad_pipeline").save(graph)
-        assert main(["graph", "run", "--graph", str(graph), "--inputs", inputs]) == 2
+        config = _solver_config(tmp_path, solver_id="primary")
+        assert main(["graph", "run", "--graph", str(graph), "--inputs", inputs, "--config", str(config)]) == 2
         assert f"configuration error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("template,task,message", [
@@ -1069,11 +1083,9 @@ class TestGraphCli:
 
         graph = tmp_path / "graph.json"
         graph_template(template).save(graph)
-        config = tmp_path / "solvers.json"
-        config.write_text(json.dumps({"solvers": [
-            {"id": "primary", "kind": "scripted", "params": {"table": {"*": [["3", 1.0]]}}}]}))
-        argv = ["--config", str(config)] if template == "olympiad_pipeline" else []
-        assert main(["graph", "run", "--graph", str(graph), "--inputs", json.dumps({"task": task}), *argv]) == 2
+        config = _solver_config(tmp_path, "3", "primary" if template == "olympiad_pipeline" else "synthesizer")
+        assert main(["graph", "run", "--graph", str(graph), "--inputs", json.dumps({"task": task}),
+                     "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and message in err
 
@@ -1123,6 +1135,11 @@ class TestGraphCli:
         assert main(["graph", "run", "--graph", str(path), "--task", str(task_file),
                      "--config", str(_solver_config(tmp_path))]) == 2
         assert "configuration error" in capsys.readouterr().err
+        # As an eval column the same file stops the sweep before the run is named.
+        with pytest.raises(SystemExit, match="2"):
+            _graph_eval(tmp_path, _solver_config(tmp_path), [path])
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("command", ["run", "abtest", "mutate"])
     def test_misspelt_op_param_is_exit_2(self, tmp_path, capsys, command):
@@ -1259,6 +1276,21 @@ def _graph_eval(tmp_path, solver_config, graphs, tasks=None) -> dict:
     if code:
         raise SystemExit(code)
     return json.loads((_run_dir(tmp_path / "runs") / "matrix.json").read_text())
+
+
+def test_a_graph_edited_in_place_names_a_new_run(tmp_path):
+    from quorum.fixtures import graph_template
+
+    graph = tmp_path / "g.json"
+    graph_template("puzzle_pipeline").save(graph)
+    _graph_eval(tmp_path, _solver_config(tmp_path), [graph])
+    first = _run_dir(tmp_path / "runs")
+    record = (first / "record.jsonl").read_bytes()
+    assert main(["graph", "mutate", "--graph", str(graph),
+                 "--mutation", 'edit_param prompt {"key": "style", "value": "compact"}']) == 0
+    assert main(["eval", "--config", str(tmp_path / "eval.json"), "--out", str(tmp_path / "runs")]) == 0
+    runs = [p for p in (tmp_path / "runs").iterdir() if p.name.startswith("run-")]
+    assert len(runs) == 2 and (first / "record.jsonl").read_bytes() == record
 
 
 def test_graph_whose_own_passed_is_true_scores_by_its_answer(tmp_path):

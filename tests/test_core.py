@@ -112,6 +112,15 @@ class TestVerdict:
         assert Verdict.failed([Check("a", False)]).status == "fail"
         assert Verdict.errored("timeout").detail == "timeout"
 
+    def test_a_verdict_cannot_be_changed(self):
+        # The per-answer memo hands one Verdict to every cell with that answer.
+        import dataclasses
+
+        verdict = Verdict.passed([Check("a", True)])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            verdict.status = "fail"
+        assert verdict.is_pass
+
 
 ROT90_PUZZLE = {
     "train": [
@@ -296,6 +305,11 @@ class TestVerifyOncePerAnswer:
         assert verify(task, failed).status == "error"
         assert check_calls == {}
         assert verify(task, _candidate(good, kind=answer_kind)).is_pass
+
+    def test_a_task_takes_no_check_of_its_own(self):
+        # The check is bound from the verifier or the reference, never given.
+        with pytest.raises(TypeError):
+            Task(id="t", category="c", prompt="?", answer_kind="integer", check=lambda candidate: None)
 
     @pytest.mark.parametrize("kind", MEMO_CASES)
     def test_bound_check_pickles(self, kind):

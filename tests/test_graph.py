@@ -9,12 +9,12 @@ from quorum.adapters import ScriptedSolver
 from quorum.arc import ArcTask, Grid
 from quorum.graph import (
     Edge,
-    ExecutionContext,
     GraphValidationError,
     Mutation,
     MutationError,
     NodeDef,
     PipelineGraph,
+    bind,
     execute,
     mutate,
     op_def,
@@ -57,12 +57,12 @@ def _diamond_graph(fail_left=False):
 
 class TestExecute:
     def test_passthrough(self):
-        outputs, trace = execute(_passthrough_graph(), {"value": "x"})
+        outputs, trace = execute(bind(_passthrough_graph(), {}), {"value": "x"})
         assert outputs == {"result": "x"}
         assert trace.executed_ids() == ["p"]
 
     def test_diamond_topology(self):
-        outputs, trace = execute(_diamond_graph(), {"value": "v"})
+        outputs, trace = execute(bind(_diamond_graph(), {}), {"value": "v"})
         assert outputs["joined"] == "v|v"
         assert len(trace.entries) == 4
         order = trace.executed_ids()
@@ -70,20 +70,39 @@ class TestExecute:
         assert order.index("src") < order.index("right") < order.index("joinpoint")
 
     def test_failure_halts_dependents_not_siblings(self):
-        outputs, trace = execute(_diamond_graph(fail_left=True), {"value": "v"})
+        outputs, trace = execute(bind(_diamond_graph(fail_left=True), {}), {"value": "v"})
         assert outputs["joined"] is None
         assert outputs["right_branch"] == "v"  # sibling branch kept running
         assert trace.skipped == ["joinpoint"]
         assert trace.entry("left").error
 
     def test_trace_completeness(self):
-        _, trace = execute(_diamond_graph(fail_left=True), {"value": "v"})
+        _, trace = execute(bind(_diamond_graph(fail_left=True), {}), {"value": "v"})
         executed = set(trace.executed_ids())
         assert executed == {"src", "left", "right"}  # all not downstream of the failure
 
+    def test_a_later_node_naming_a_missing_solver_stops_the_graph_before_any_call(self):
+        calls = []
+
+        class Counting:
+            def solve(self, task_id, prompt, seed):
+                calls.append(prompt)
+                return "A"
+
+        graph = PipelineGraph(
+            nodes={"first": NodeDef("solve_text", {"solver_id": "s"}),
+                   "second": NodeDef("solve_text", {"solver_id": "missing"})},
+            edges=frozenset({Edge("first", "text", "second", "prompt")}),
+            inputs={"prompt": (("first", "prompt"),)},
+            outputs={"text": ("second", "text")},
+        )
+        with pytest.raises(ConfigurationError, match="no solver 'missing'"):
+            execute(bind(graph, {"s": Counting()}), {"prompt": "p"})
+        assert calls == []
+
     def test_missing_input_rejected(self):
         with pytest.raises(ConfigurationError, match="missing graph inputs"):
-            execute(_passthrough_graph(), {})
+            execute(bind(_passthrough_graph(), {}), {})
 
     def test_deterministic_digests(self):
         graph = PipelineGraph(
@@ -92,11 +111,8 @@ class TestExecute:
             inputs={"prompt": (("s", "prompt"),)},
             outputs={"text": ("s", "text")},
         )
-        ctx = ExecutionContext(
-            solvers={"scripted": ScriptedSolver("scripted", {"*": [("A", 0.5), ("B", 0.5)]})},
-            seed=5,
-        )
-        runs = [execute(graph, {"prompt": "p"}, ctx) for _ in range(2)]
+        bound = bind(graph, {"scripted": ScriptedSolver("scripted", {"*": [("A", 0.5), ("B", 0.5)]})})
+        runs = [execute(bound, {"prompt": "p"}, seed=5) for _ in range(2)]
         digests = [[(e.node_id, e.inputs_digest, e.output_digest) for e in t.entries] for _, t in runs]
         assert digests[0] == digests[1]
 
@@ -110,7 +126,7 @@ class TestExecute:
         task = ArcTask("rot", ((grid, rotated),), ())
         solver = ScriptedSolver("synthesizer", {"*": [("rotate90", 1.0)]})
         graph = graph_template("puzzle_pipeline")
-        outputs, trace = execute(graph, {"task": task}, ExecutionContext(solvers={"synthesizer": solver}))
+        outputs, trace = execute(bind(graph, {"synthesizer": solver}), {"task": task})
         assert len(trace.entries) == 3
         assert outputs["passed"] is True
         direct = verify_program(parse_dsl(solver.solve("rot", format_prompt(task), 0)), task)
@@ -136,8 +152,7 @@ def test_puzzle_verify_agrees_with_an_eval_cell(tmp_path, reply, status):
                            "verifier": {"kind": "arc_program", "params": {"task": ROT180_PUZZLE}}})
     config = MethodConfig.from_dict({"method_id": "zero_shot"}, {"synthesizer": solver})
     _, cell = run_method(config, solver, task, seed=0)
-    outputs, _ = execute(graph_template("puzzle_pipeline"), {"task": ROT180_PUZZLE},
-                         ExecutionContext(solvers={"synthesizer": solver}))
+    outputs, _ = execute(bind(graph_template("puzzle_pipeline"), {"synthesizer": solver}), {"task": ROT180_PUZZLE})
     assert outputs["verdict"]["status"] == cell.status == status
     puzzle = tmp_path / "puzzle.json"
     puzzle.write_text(json.dumps(ROT180_PUZZLE))
@@ -170,12 +185,12 @@ def test_each_builtin_op_returns_exactly_its_declared_ports(name):
     definition = op_def(name)
     params, inputs = _OP_CALLS[name]
     assert set(inputs) == set(definition.inputs)
-    ctx = ExecutionContext(solvers={"s": ScriptedSolver("s", {"*": [("yes", 1.0)]})})
+    bound = definition.bind(params, {"s": ScriptedSolver("s", {"*": [("yes", 1.0)]})}, "n")
     if name == "fail":
         with pytest.raises(QuorumError, match="node configured to fail"):
-            definition.fn(params, inputs, ctx, "n")
+            definition.fn(bound, inputs, 0, "n")
         return
-    assert set(definition.fn(params, inputs, ctx, "n")) == set(definition.outputs)
+    assert set(definition.fn(bound, inputs, 0, "n")) == set(definition.outputs)
 
 
 class TestValidation:
@@ -237,11 +252,11 @@ class TestMutate:
             inputs={"task": (("m", "task"),)},
             outputs={"n_samples": ("m", "n_samples"), "passed": ("m", "passed")},
         )
-        ctx = ExecutionContext(solvers={"s": ScriptedSolver("s", {"*": [("A", 0.5), ("B", 0.5)]})})
-        outputs, _ = execute(graph, {"task": task}, ctx)
+        solvers = {"s": ScriptedSolver("s", {"*": [("A", 0.5), ("B", 0.5)]})}
+        outputs, _ = execute(bind(graph, solvers), {"task": task})
         assert outputs["n_samples"] == 3
         bigger = mutate(graph, Mutation("edit_param", {"node": "m", "key": "n", "value": 5}))
-        outputs, _ = execute(bigger, {"task": task}, ctx)
+        outputs, _ = execute(bind(bigger, solvers), {"task": task})
         assert outputs["n_samples"] == 5
 
     def test_edit_prompt_requires_string(self):
