@@ -61,7 +61,7 @@ def augment(task: ArcTask) -> list[ArcTask]:
     element; symmetric tasks collapse to fewer than eight variants.
     Variant ids get deterministic ``:<element>`` suffixes.
     """
-    variants, seen = [], set()
+    variants, kept = [], []  # kept keys are compared by equality: no grid is hashed
     for element in D4_ELEMENTS:
         train = tuple(
             (apply_element(element, i), apply_element(element, o)) for i, o in task.train
@@ -71,9 +71,9 @@ def augment(task: ArcTask) -> list[ArcTask]:
             for i, o in task.test
         )
         key = (train, test)
-        if key in seen:
+        if key in kept:
             continue
-        seen.add(key)
+        kept.append(key)
         variants.append(ArcTask(f"{task.id}:{element}", train, test))
     return variants
 

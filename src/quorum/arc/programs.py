@@ -74,11 +74,13 @@ def run_program(program: Program, grid: Grid) -> Grid:
 def _mismatches(got: Grid, want: Grid) -> list[tuple[int, int]]:
     if (got.height, got.width) != (want.height, want.width):
         return [(-1, -1)]  # shape mismatch sentinel
+    # whole rows first: only a row that differs is scanned cell by cell
     return [
         (r, c)
-        for r in range(want.height)
+        for r, (got_row, want_row) in enumerate(zip(got.cells, want.cells))
+        if got_row != want_row
         for c in range(want.width)
-        if got.cells[r][c] != want.cells[r][c]
+        if got_row[c] != want_row[c]
     ]
 
 

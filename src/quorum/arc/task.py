@@ -29,8 +29,9 @@ class ArcTask:
     @classmethod
     def from_dict(cls, data: dict, task_id: str) -> "ArcTask":
         def grid(node, what):
-            try:
-                return Grid.from_rows(list_of(node, what, list_of))
+            try:  # rows that are all lists need no per-row list_of
+                return Grid.from_rows(node if type(node) is list and set(map(type, node)) == {list}
+                                      else list_of(node, what, list_of))
             except GridBoundsError as exc:
                 raise ConfigurationError(f"{what}: {exc}") from exc
 
@@ -59,14 +60,20 @@ class ArcTask:
 
 
 def as_arc_task(task, task_id: Optional[str] = None) -> ArcTask:
-    """``task`` itself, the puzzle that a ``Task``'s ``arc_program`` verifier
-    holds, or the ArcTask its interchange dict describes, with id
-    ``task_id``, else the dict's ``id``, else ``"task"``."""
+    """``task`` itself, the puzzle that a ``Task``'s ``arc_program`` check
+    parsed when the task was built, or the ArcTask its interchange dict
+    describes, with id ``task_id``, else the dict's ``id``, else ``"task"``.
+
+    The check is the one holder of a task's parsed puzzle: it is built once
+    per task, immutable and shared by threads, so reading the puzzle back
+    from it parses nothing and keeps no second copy in step."""
     if isinstance(task, ArcTask):
         return task
     verifier = getattr(task, "verifier", None)  # a Task has one; a dict has none
     if verifier is not None and verifier.kind == "arc_program":
-        return as_arc_task(verifier.params["task"], verifier.params.get("id", task.id))
+        # partial(_once_per_answer, partial(_check_program, puzzle), memo),
+        # as ``Task.__post_init__`` and ``core.verify`` build it
+        return task.check.args[0].args[0]
     if not isinstance(task, dict):
         raise ConfigurationError(f"a puzzle must be an object, got {task!r}")
     return ArcTask.from_dict(task, task_id or task.get("id", "task"))

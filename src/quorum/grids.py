@@ -10,12 +10,17 @@ the size, since the DSL builds its grids from checked ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import GridBoundsError
 
 MAX_SIDE = 30
 N_COLORS = 10
+_COLORS = bytes(range(N_COLORS))
+# bytes.translate table: color v -> ASCII digit v; any other byte -> 0xFF,
+# which no ASCII decode accepts
+_DIGITS = b"0123456789".ljust(256, b"\xff")
 
 
 @dataclass(frozen=True)
@@ -40,7 +45,14 @@ class Grid:
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "Grid":
         """A ragged row or a cell that is not an int 0..9 raises GridBoundsError."""
-        grid = cls(tuple(tuple(row) for row in rows))
+        grid = cls(tuple(map(tuple, rows)))
+        # The common case in bulk: one width, every cell of type int exactly
+        # (a bool or a numpy integer is not), every value 0..9.
+        types = [*map(type, chain.from_iterable(grid.cells))]
+        if len(set(map(len, grid.cells))) == 1 and types.count(int) == len(types) and _colors_only(grid.cells):
+            return grid
+        # Else the cell-by-cell check names the first mistake, and accepts
+        # what the bulk check cannot tell is an int (an IntEnum member).
         for r, row in enumerate(grid.cells):
             if len(row) != grid.width:
                 raise GridBoundsError(f"ragged row {r}: expected width {grid.width}, got {len(row)}")
@@ -66,7 +78,18 @@ class Grid:
         return [list(row) for row in self.cells]
 
     def to_text(self) -> str:
-        return "\n".join("".join(str(v) for v in row) for row in self.cells)
+        try:
+            return b"\n".join([bytes(row).translate(_DIGITS) for row in self.cells]).decode("ascii")
+        except (TypeError, ValueError):  # a cell outside 0..9, which only a grid built in code holds
+            return "\n".join("".join(str(v) for v in row) for row in self.cells)
 
     def __str__(self) -> str:
         return self.to_text()
+
+
+def _colors_only(cells: tuple[tuple[int, ...], ...]) -> bool:
+    """Every int cell is 0..9."""
+    try:
+        return not b"".join(map(bytes, cells)).translate(None, _COLORS)
+    except ValueError:  # a cell below 0 or above 255
+        return False

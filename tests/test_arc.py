@@ -5,6 +5,7 @@ import random
 import stat
 import subprocess
 import sys
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -71,6 +72,76 @@ def _rot90_oracle(grid: Grid) -> Grid:
     return Grid.from_rows([list(row)[::-1] for row in zip(*grid.cells)])
 
 
+def _from_rows_per_cell(rows) -> Grid:
+    # Grid.from_rows as it once checked each cell in a Python loop.
+    grid = Grid(tuple(tuple(row) for row in rows))
+    for r, row in enumerate(grid.cells):
+        if len(row) != grid.width:
+            raise GridBoundsError(f"ragged row {r}: expected width {grid.width}, got {len(row)}")
+        for c, v in enumerate(row):
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < 10:
+                raise GridBoundsError(f"cell ({r},{c}) color {v!r} outside 0..9")
+    return grid
+
+
+def _to_text_per_cell(grid: Grid) -> str:
+    return "\n".join("".join(str(v) for v in row) for row in grid.cells)
+
+
+def _mismatches_per_cell(got: Grid, want: Grid) -> list:
+    if (got.height, got.width) != (want.height, want.width):
+        return [(-1, -1)]
+    return [(r, c) for r in range(want.height) for c in range(want.width) if got.cells[r][c] != want.cells[r][c]]
+
+
+def _outcome(read, rows):
+    """What reading ``rows`` gives: the grid and the type of each cell, or
+    the exception's type and message."""
+    try:
+        grid = read(rows)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return grid, [[type(v) for v in row] for row in grid.cells]
+
+
+class _Color(IntEnum):
+    RED = 2
+
+
+def _numpy_cell():
+    import numpy as np
+
+    return [[1, np.int64(3)]]
+
+
+FROM_ROWS_CASES = {
+    "valid": lambda: [[1, 2, 3], [4, 5, 6]],
+    "valid-30x30": lambda: [[(r * c) % 10 for c in range(30)] for r in range(30)],
+    "tuple-rows": lambda: ((0, 9), (9, 0)),
+    "generator-rows": lambda: (row for row in [[1, 2], [3, 4]]),
+    "ragged-shorter": lambda: [[1, 2], [3]],
+    "ragged-wider": lambda: [[1, 2], [3, 4, 5]],
+    "bad-cell-before-ragged-row": lambda: [[1, 10], [3]],
+    "true": lambda: [[1, True]],
+    "false": lambda: [[False]],
+    "float": lambda: [[1.0]],
+    "string-cell": lambda: [[0, "3"]],
+    "none": lambda: [[0], [None]],
+    "minus-one": lambda: [[0, 0], [0, -1]],
+    "ten": lambda: [[10]],
+    "256": lambda: [[256, 0]],
+    "huge": lambda: [[2**70]],
+    "int-enum": lambda: [[_Color.RED, 0]],
+    "numpy-int64": _numpy_cell,
+    "row-that-is-a-string": lambda: ["123", "456"],
+    "row-that-is-an-int": lambda: [5],
+    "no-rows": lambda: [],
+    "empty-row": lambda: [[]],
+    "too-wide": lambda: [[0] * 31],
+    "too-tall": lambda: [[0]] * 31,
+}
+
+
 class TestGrid:
     def test_bounds(self):
         with pytest.raises(GridBoundsError):
@@ -83,6 +154,37 @@ class TestGrid:
     def test_text_round_trip(self):
         g = Grid.from_rows([[1, 0], [9, 5]])
         assert Grid.from_text(g.to_text()) == g
+
+    @pytest.mark.parametrize("case", sorted(FROM_ROWS_CASES))
+    def test_from_rows_accepts_and_rejects_as_the_per_cell_check(self, case):
+        make = FROM_ROWS_CASES[case]
+        assert _outcome(Grid.from_rows, make()) == _outcome(_from_rows_per_cell, make())
+
+    @given(st.integers(0, 4).flatmap(lambda w: st.lists(st.one_of(
+        st.lists(st.one_of(st.integers(0, 9), st.integers(-300, 300),
+                           st.sampled_from([True, False, None, 1.0, "3", ""])), min_size=w, max_size=w),
+        st.lists(st.integers(0, 9), max_size=5),
+        st.text(max_size=3)), max_size=5)))
+    @settings(max_examples=300, deadline=None)
+    def test_from_rows_matches_the_per_cell_check_on_any_nested_list(self, rows):
+        # Rows mostly of one width w, so the bulk check sees whole grids.
+        assert _outcome(Grid.from_rows, rows) == _outcome(_from_rows_per_cell, rows)
+
+    def test_to_text_matches_str_of_each_cell_on_every_shape(self):
+        rng = random.Random(7)
+        for color in range(10):
+            assert Grid.from_rows([[color]]).to_text() == str(color)
+        for h in range(1, 31):
+            for w in range(1, 31):
+                g = Grid.from_rows([[rng.randrange(10) for _ in range(w)] for _ in range(h)])
+                assert g.to_text() == _to_text_per_cell(g), (h, w)
+
+    @pytest.mark.parametrize("cell", [10, 11, 48, 127, 128, 255, 256, -1, 1.5, "x", None])
+    def test_to_text_of_a_cell_no_reader_accepts_is_its_str(self, cell):
+        # Only a grid built in code holds such a cell; it is never printed
+        # as some other character.
+        g = Grid(((1, cell), (cell, 2)))
+        assert g.to_text() == _to_text_per_cell(g) == f"1{cell}\n{cell}2"
 
 
 class TestParsePrint:
@@ -243,6 +345,22 @@ class TestVerifyProgram:
         task = ArcTask("t", ((Grid.from_rows([[0] * 3] * 3), Grid.from_rows(want)),), ())
         assert verify_program(parse_dsl("identity"), task).checks[0].detail == detail
 
+    def test_mismatches_match_the_per_cell_scan(self):
+        from quorum.arc.programs import _mismatches
+
+        rng = random.Random(11)
+        for h, w in [(1, 1), (1, 30), (30, 1), (3, 4), (30, 30)] + [(rng.randint(1, 30), rng.randint(1, 30))
+                                                                   for _ in range(40)]:
+            want = Grid.from_rows([[rng.randrange(10) for _ in range(w)] for _ in range(h)])
+            for share in (0.0, 0.01, 0.1, 0.5, 1.0):  # of cells changed
+                got = Grid.from_rows([[(v + 1) % 10 if rng.random() < share else v for v in row]
+                                      for row in want.cells])
+                assert _mismatches(got, want) == _mismatches_per_cell(got, want), (h, w, share)
+            for other in [(h + 1, w), (h, w + 1)]:
+                if max(other) <= 30:
+                    got = Grid.from_rows([[0] * other[1]] * other[0])
+                    assert _mismatches(got, want) == _mismatches_per_cell(got, want) == [(-1, -1)]
+
     def test_single_cell_perturbation_flips_verdict(self):
         task = _rot_task()
         program = parse_dsl("rotate180")
@@ -386,6 +504,20 @@ class TestAugment:
         assert len(conjugate.ops) == 68
         g = Grid.from_rows([[1, 2, 3], [4, 5, 6]])
         assert eval_dsl(conjugate, g) == g
+
+    @pytest.mark.parametrize("rows", [[[1]], [[1, 2, 1]], [[1, 2], [2, 1]], [[1, 2], [1, 2]], [[1, 1], [1, 2]],
+                                      [[1, 2, 3], [4, 5, 6]]])
+    def test_variants_are_the_distinct_ones_in_group_order(self, rows):
+        g = Grid.from_rows(rows)
+        task = ArcTask("t", ((g, g), (g, Grid.from_rows([[3]]))), ((g, None),))
+        kept, want = set(), []  # the oracle: the set of (train, test) keys augment once kept
+        for element in D4_ELEMENTS:
+            variant = (tuple((apply_element(element, i), apply_element(element, o)) for i, o in task.train),
+                       tuple((apply_element(element, i), None) for i, _ in task.test))
+            if variant not in kept:
+                kept.add(variant)
+                want.append(f"t:{element}")
+        assert [v.id for v in augment(task)] == want
 
     def test_transform_applied_consistently(self):
         task = _rot_task()

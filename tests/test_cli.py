@@ -354,6 +354,36 @@ class TestEval:
         assert sorted(checked) == sorted(set(checked))
         assert set(checked) <= {"rotate180", "flip_h"}
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_a_puzzle_graph_column_parses_each_puzzle_once(self, tmp_path, capsys, monkeypatch, k):
+        # The task's check parses its puzzle when the task is built; the
+        # graph's prompt and check nodes read that puzzle, not the raw dict.
+        from quorum.arc.task import ArcTask
+        from quorum.fixtures import graph_template
+
+        parsed, from_dict = [], ArcTask.from_dict.__func__
+
+        def counting(cls, data, task_id):
+            parsed.append(task_id)
+            return from_dict(cls, data, task_id)
+
+        monkeypatch.setattr(ArcTask, "from_dict", classmethod(counting))
+        tasks = [{"id": f"p{i}", "prompt": "?", "answer_kind": "text",
+                  "verifier": {"kind": "arc_program", "params": {"task": ROT180_TASK}}} for i in range(k)]
+        (tmp_path / "tasks.json").write_text(json.dumps(tasks))
+        graph_template("puzzle_pipeline").save(tmp_path / "puzzle.json")
+        config = {
+            "solvers": [{"id": "primary", "kind": "scripted", "params": {"table": {"*": [["yes", 1.0]]}}},
+                        {"id": "synthesizer", "kind": "scripted", "params": {"table": {"*": [["rotate180", 1.0]]}}}],
+            "methods": [{"graph": str(tmp_path / "puzzle.json")}],
+            "tasks": str(tmp_path / "tasks.json"),
+            "seed": 3,
+        }
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        assert main(["eval", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "r")]) == 0
+        assert "puzzle_pipeline" in capsys.readouterr().out
+        assert parsed == [f"p{i}" for i in range(k)]
+
     def test_rto_template_with_a_conversion_runs(self, tmp_path, capsys):
         # The config check is the one template rule, so a template it
         # accepts never stops the sweep inside a cell.
