@@ -53,6 +53,10 @@ def _error_for_status(status: int, body: str) -> ChatError:
     return ChatRequestError(f"HTTP {status}: {snippet}")
 
 
+# json.dumps(..., sort_keys=True) without a fresh encoder per call
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
 def _retry_after_s(value: Optional[str], cap: float) -> float:
     """The seconds a ``Retry-After`` header asks for, at most ``cap``; 0
     when it is absent or not a number of seconds (an HTTP date is ignored)."""
@@ -89,9 +93,10 @@ class ChatClient:
         self.backoff_s = backoff_s
         self._gate = threading.BoundedSemaphore(max_in_flight)
         self._local = threading.local()
-        import requests  # loaded when a client is built: scripted runs never need it
-
-        self._session = requests.Session()
+        self._entry_prefix = os.path.join(self.cache_dir, "")  # a str: each entry's path is one concatenation
+        self._key_memo = self._key_prefix()
+        self._session = None  # built on the first cache miss: a fully cached run never imports requests
+        self._session_lock = threading.Lock()
 
     # -- cache ---------------------------------------------------------
 
@@ -101,24 +106,38 @@ class ChatClient:
             params["max_tokens"] = self.max_tokens
         return params
 
-    def cache_key(self, prompt: str, seed: int) -> str:
-        blob = json.dumps(
-            {"model": self.model, "prompt": prompt, "params": self._params(), "seed": seed},
-            sort_keys=True,
-        )
-        return hashlib.sha256(blob.encode()).hexdigest()
+    def _key_prefix(self) -> tuple:
+        """sha256 fed the key JSON up to the prompt, with the settings it was
+        built from.  Sorted, the request's keys run model, params, prompt,
+        seed, so the fixed part comes first."""
+        model, temperature, max_tokens = self.model, self.temperature, self.max_tokens
+        head = _encode({"model": model, "params": self._params()})
+        return model, temperature, max_tokens, hashlib.sha256(f'{head[:-1]}, "prompt": '.encode())
 
-    def _cache_path(self, key: str) -> Path:
-        return self.cache_dir / f"{key}.json"
+    def cache_key(self, prompt: str, seed: int) -> str:
+        """sha256 of ``json.dumps`` of the request with sorted keys."""
+        memo = self._key_memo
+        # by identity: equal settings may encode apart (1 and 1.0, 0.0 and -0.0)
+        if memo[0] is not self.model or memo[1] is not self.temperature or memo[2] is not self.max_tokens:
+            memo = self._key_memo = self._key_prefix()
+        digest = memo[3].copy()
+        digest.update(f'{_encode(prompt)}, "seed": {seed if type(seed) is int else _encode(seed)}}}'.encode())
+        return digest.hexdigest()
+
+    def _cache_path(self, key: str) -> str:
+        return f"{self._entry_prefix}{key}.json"
 
     def _cache_read(self, key: str) -> Optional[str]:
-        path = self._cache_path(key)
         try:
-            with open(path) as fh:
-                entry = json.load(fh)
-            return entry["response"]["choices"][0]["message"]["content"]
+            with open(self._cache_path(key), "rb", buffering=0) as fh:
+                blob = fh.read()
         except FileNotFoundError:
             return None
+        try:
+            # Decoded strictly as UTF-8 before parsing, as a text-mode read
+            # does: json.loads of the bytes would also take a BOM or UTF-16.
+            entry = json.loads(blob.decode())
+            return entry["response"]["choices"][0]["message"]["content"]
         except (ValueError, RecursionError, KeyError, IndexError, TypeError):
             return None  # corrupt cache entries count as misses: not UTF-8 JSON, too long an int or too deep
 
@@ -158,6 +177,10 @@ class ChatClient:
 
         import requests
 
+        with self._session_lock:  # threads share a client
+            if self._session is None:
+                self._session = requests.Session()
+            session = self._session
         url = f"{self.base_url}/chat/completions"
         last_error: Optional[ChatError] = None
         for attempt in range(self.max_retries + 1):
@@ -166,7 +189,7 @@ class ChatClient:
             retry_after = 0.0  # set from this attempt's 429 or 503, read before the next
             try:
                 with self._gate:
-                    resp = self._session.post(url, json=body, headers=headers, timeout=self.timeout_s)
+                    resp = session.post(url, json=body, headers=headers, timeout=self.timeout_s)
             except requests.RequestException as exc:
                 last_error = ChatServerError(f"network error: {exc}")
                 trace.append({"attempt": attempt, "source": "network", "error": str(exc)})

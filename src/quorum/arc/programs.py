@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import subprocess
 from dataclasses import dataclass
-from typing import Union
+from itertools import compress, islice
+from operator import ne
+from typing import Optional, Union
 
 from ..core.model import Check, Verdict
 from ..errors import ConfigurationError, DslSyntaxError, GridBoundsError, QuorumError
@@ -71,17 +73,24 @@ def run_program(program: Program, grid: Grid) -> Grid:
         raise ProgramRunError(f"bad output grid: {exc}") from exc
 
 
-def _mismatches(got: Grid, want: Grid) -> list[tuple[int, int]]:
+def _mismatch_detail(got: Grid, want: Grid) -> Optional[str]:
+    """Why ``got`` is not ``want``: their shapes, or how many cells differ
+    and the first eight of them in row-major order; None when equal."""
     if (got.height, got.width) != (want.height, want.width):
-        return [(-1, -1)]  # shape mismatch sentinel
-    # whole rows first: only a row that differs is scanned cell by cell
-    return [
-        (r, c)
-        for r, (got_row, want_row) in enumerate(zip(got.cells, want.cells))
-        if got_row != want_row
-        for c in range(want.width)
-        if got_row[c] != want_row[c]
-    ]
+        return f"shape {got.height}x{got.width} != {want.height}x{want.width}"
+    count, first = 0, []
+    # whole rows first: only a row that differs is counted cell by cell
+    for r, (got_row, want_row) in enumerate(zip(got.cells, want.cells)):
+        if got_row != want_row:
+            count += sum(map(ne, got_row, want_row))
+            if len(first) < 8:
+                columns = compress(range(want.width), map(ne, got_row, want_row))
+                first += [(r, c) for c in islice(columns, 8 - len(first))]
+    if not count:
+        return None
+    shown = ", ".join(f"({r},{c})" for r, c in first)
+    more = "" if count <= 8 else f" and {count - 8} more"
+    return f"{count} differing cells: {shown}{more}"
 
 
 def verify_program(program: Program, task: ArcTask) -> Verdict:
@@ -92,18 +101,8 @@ def verify_program(program: Program, task: ArcTask) -> Verdict:
             got = run_program(program, inp)
         except ProgramRunError as exc:
             return Verdict.errored(f"train[{i}]: {exc}", checks)
-        diffs = _mismatches(got, want)
-        if not diffs:
-            checks.append(Check(f"train[{i}]", True, "exact match"))
-        elif diffs == [(-1, -1)]:
-            checks.append(Check(
-                f"train[{i}]", False,
-                f"shape {got.height}x{got.width} != {want.height}x{want.width}",
-            ))
-        else:
-            shown = ", ".join(f"({r},{c})" for r, c in diffs[:8])
-            more = "" if len(diffs) <= 8 else f" and {len(diffs) - 8} more"
-            checks.append(Check(f"train[{i}]", False, f"{len(diffs)} differing cells: {shown}{more}"))
+        detail = _mismatch_detail(got, want)
+        checks.append(Check(f"train[{i}]", detail is None, detail or "exact match"))
     if all(c.passed for c in checks):
         return Verdict.passed(checks)
     return Verdict.failed(checks)

@@ -21,6 +21,8 @@ _COLORS = bytes(range(N_COLORS))
 # bytes.translate table: color v -> ASCII digit v; any other byte -> 0xFF,
 # which no ASCII decode accepts
 _DIGITS = b"0123456789".ljust(256, b"\xff")
+# bytes.translate table: ASCII digit -> its color
+_CELLS = bytes.maketrans(b"0123456789", _COLORS)
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,7 @@ class Grid:
         for ln in lines:
             if not (ln.isascii() and ln.isdigit()):  # isdigit alone takes "²"
                 raise GridBoundsError(f"non-digit character in grid row {ln!r}")
-            rows.append([int(ch) for ch in ln])
+            rows.append(ln.encode().translate(_CELLS))
         return cls.from_rows(rows)
 
     def to_lists(self) -> list[list[int]]:

@@ -1,5 +1,6 @@
 """Scripted solvers and the HTTP chat client."""
 
+import hashlib
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -150,10 +151,12 @@ def mock_server():
     _MockChat.statuses = []
     _MockChat.requests_seen = []
     server = HTTPServer(("127.0.0.1", 0), _MockChat)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll: shutdown() waits up to one poll interval for the loop to notice
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/v1", _MockChat
     server.shutdown()
+    server.server_close()
     thread.join(timeout=2)
 
 
@@ -164,7 +167,89 @@ def _client(base_url, tmp_path, **kw):
     return ChatClient(base_url, **defaults)
 
 
+def _cache_key_whole_request(client, prompt, seed):
+    # ChatClient.cache_key as it once encoded the whole request on each call;
+    # every cache directory on disk is keyed by this digest.
+    params = {"temperature": client.temperature}
+    if client.max_tokens is not None:
+        params["max_tokens"] = client.max_tokens
+    blob = json.dumps({"model": client.model, "prompt": prompt, "params": params, "seed": seed}, sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _cache_read_text_mode(path):
+    # ChatClient._cache_read as it once read an entry through a UTF-8 text file.
+    try:
+        with open(path, encoding="utf-8") as fh:
+            entry = json.load(fh)
+        return entry["response"]["choices"][0]["message"]["content"]
+    except FileNotFoundError:
+        return None
+    except (ValueError, RecursionError, KeyError, IndexError, TypeError):
+        return None
+
+
+KEY_PROMPTS = ["", "x" * 10_000, 'say "hi" \\ "there\\"', "\x00\x01\t\n\r\x1f\x7f", "héllo → 世界",
+               "😀 𝔘 \U0010ffff", "\ud800 lone \udfff"]
+ENTRY = {"request": {}, "response": {"choices": [{"message": {"role": "assistant", "content": "héllo 😀"}}]}}
+ENTRY_JSON = json.dumps(ENTRY, ensure_ascii=False)
+CACHE_ENTRIES = {  # entry bytes -> the reply a read gives, None for a miss
+    "utf-8": (ENTRY_JSON.encode(), "héllo 😀"),
+    "ascii-escaped": (json.dumps(ENTRY).encode(), "héllo 😀"),
+    "crlf-indented": (json.dumps(ENTRY, indent=2).replace("\n", "\r\n").encode(), "héllo 😀"),
+    "utf-8-bom": (b"\xef\xbb\xbf" + ENTRY_JSON.encode(), None),
+    "utf-16": (ENTRY_JSON.encode("utf-16"), None),
+    "utf-16-le": (ENTRY_JSON.encode("utf-16-le"), None),
+    "utf-32": (ENTRY_JSON.encode("utf-32"), None),
+    "latin-1": (ENTRY_JSON.replace("😀", "").encode("latin-1"), None),
+    "encoded-surrogate": (ENTRY_JSON.encode().replace("😀".encode(), b"\xed\xa0\x80"), None),
+    "empty": (b"", None),
+}
+
+
 class TestChatClient:
+    def test_cache_key_is_the_digest_of_the_whole_request(self, tmp_path):
+        # One client whose settings change one at a time between calls: the
+        # key follows each, even between equal numbers that encode apart.
+        client = _client("http://unused", tmp_path)
+
+        def check():
+            for prompt in KEY_PROMPTS:
+                for seed in [0, 1, -1, -(2**63), 2**64 - 1]:
+                    assert client.cache_key(prompt, seed) == _cache_key_whole_request(client, prompt, seed), \
+                        (client.model, client.max_tokens, client.temperature, prompt[:20], seed)
+
+        for client.model in ["mock-model", 'quote"d \\ model', "modèle-ü"]:
+            check()
+            for client.max_tokens in [None, 256]:
+                check()
+                for client.temperature in [1.0, 1, 0.0, -0.0, 0.7]:
+                    check()
+
+    def test_cache_key_of_a_new_client_is_the_digest_of_the_whole_request(self, tmp_path):
+        for kw in [{}, {"temperature": 0.25, "max_tokens": 64}, {"model": "modèle \\ \"q\""}]:
+            client = _client("http://unused", tmp_path, **kw)
+            assert client.cache_key("p", 7) == _cache_key_whole_request(client, "p", 7)
+
+    @pytest.mark.parametrize("name", sorted(CACHE_ENTRIES))
+    def test_cache_read_accepts_and_rejects_as_the_text_mode_read(self, tmp_path, name):
+        blob, reply = CACHE_ENTRIES[name]
+        client = _client("http://unused", tmp_path)
+        key = client.cache_key("p", 0)
+        path = tmp_path / "cache" / f"{key}.json"
+        path.write_bytes(blob)
+        assert client._cache_read(key) == _cache_read_text_mode(path) == reply
+
+    def test_entry_written_by_cache_write_is_a_hit(self, tmp_path):
+        client = _client("http://unused", tmp_path)
+        key = client.cache_key("p", 3)
+        assert client._cache_read(key) is None
+        client._cache_write(key, {"model": client.model}, ENTRY["response"])
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == [f"{key}.json"]
+        assert client._cache_read(key) == "héllo 😀"
+        assert client.complete("p", seed=3) == "héllo 😀"  # no server: a hit opens no connection
+        assert client.last_trace == [{"attempt": 0, "source": "cache", "key": key}]
+
     def test_cache_hit_skips_network(self, mock_server, tmp_path):
         base_url, handler = mock_server
         client = _client(base_url, tmp_path)

@@ -88,10 +88,30 @@ def _to_text_per_cell(grid: Grid) -> str:
     return "\n".join("".join(str(v) for v in row) for row in grid.cells)
 
 
-def _mismatches_per_cell(got: Grid, want: Grid) -> list:
+def _mismatch_detail_per_cell(got: Grid, want: Grid):
+    # verify_program's detail of a failed train pair as it once listed every
+    # differing cell; None when the grids are equal.
     if (got.height, got.width) != (want.height, want.width):
-        return [(-1, -1)]
-    return [(r, c) for r in range(want.height) for c in range(want.width) if got.cells[r][c] != want.cells[r][c]]
+        return f"shape {got.height}x{got.width} != {want.height}x{want.width}"
+    diffs = [(r, c) for r in range(want.height) for c in range(want.width) if got.cells[r][c] != want.cells[r][c]]
+    if not diffs:
+        return None
+    shown = ", ".join(f"({r},{c})" for r, c in diffs[:8])
+    more = "" if len(diffs) <= 8 else f" and {len(diffs) - 8} more"
+    return f"{len(diffs)} differing cells: {shown}{more}"
+
+
+def _from_text_per_digit(text: str) -> Grid:
+    # Grid.from_text as it once read each digit with int().
+    lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
+    if not lines:
+        raise GridBoundsError("empty grid text")
+    rows = []
+    for ln in lines:
+        if not (ln.isascii() and ln.isdigit()):
+            raise GridBoundsError(f"non-digit character in grid row {ln!r}")
+        rows.append([int(ch) for ch in ln])
+    return Grid.from_rows(rows)
 
 
 def _outcome(read, rows):
@@ -154,6 +174,20 @@ class TestGrid:
     def test_text_round_trip(self):
         g = Grid.from_rows([[1, 0], [9, 5]])
         assert Grid.from_text(g.to_text()) == g
+
+    def test_from_text_matches_the_per_digit_read_on_every_shape(self):
+        rng = random.Random(3)
+        for h in range(1, 31):
+            for w in range(1, 31):
+                text = "\n".join("".join(rng.choice("0123456789") for _ in range(w)) for _ in range(h))
+                assert _outcome(Grid.from_text, text) == _outcome(_from_text_per_digit, text), (h, w)
+
+    @pytest.mark.parametrize("text", [
+        "²", "1²", "12\n3²", "", "\n\n", "  \n\t\n", "12\n\n34\n", " 12 \r\n 34 ", "12\n345", "1\n23\n4",
+        "0" * 31, "0\n" * 31, "1 2", "-1", "+1", "١٢", "12\n\u00a0", "a",
+    ])
+    def test_from_text_accepts_and_rejects_as_the_per_digit_read(self, text):
+        assert _outcome(Grid.from_text, text) == _outcome(_from_text_per_digit, text)
 
     @pytest.mark.parametrize("case", sorted(FROM_ROWS_CASES))
     def test_from_rows_accepts_and_rejects_as_the_per_cell_check(self, case):
@@ -346,7 +380,7 @@ class TestVerifyProgram:
         assert verify_program(parse_dsl("identity"), task).checks[0].detail == detail
 
     def test_mismatches_match_the_per_cell_scan(self):
-        from quorum.arc.programs import _mismatches
+        from quorum.arc.programs import _mismatch_detail
 
         rng = random.Random(11)
         for h, w in [(1, 1), (1, 30), (30, 1), (3, 4), (30, 30)] + [(rng.randint(1, 30), rng.randint(1, 30))
@@ -355,11 +389,27 @@ class TestVerifyProgram:
             for share in (0.0, 0.01, 0.1, 0.5, 1.0):  # of cells changed
                 got = Grid.from_rows([[(v + 1) % 10 if rng.random() < share else v for v in row]
                                       for row in want.cells])
-                assert _mismatches(got, want) == _mismatches_per_cell(got, want), (h, w, share)
+                assert _mismatch_detail(got, want) == _mismatch_detail_per_cell(got, want), (h, w, share)
             for other in [(h + 1, w), (h, w + 1)]:
                 if max(other) <= 30:
                     got = Grid.from_rows([[0] * other[1]] * other[0])
-                    assert _mismatches(got, want) == _mismatches_per_cell(got, want) == [(-1, -1)]
+                    assert _mismatch_detail(got, want) == _mismatch_detail_per_cell(got, want)
+                    assert _mismatch_detail(got, want).startswith("shape ")
+
+    @pytest.mark.parametrize("differing", [0, 1, 8, 9, 900, "shape"])
+    def test_mismatch_detail_is_the_per_cell_text(self, differing):
+        from quorum.arc.programs import _mismatch_detail
+
+        want = Grid.from_rows([[(r * 30 + c) % 10 for c in range(30)] for r in range(30)])
+        if differing == "shape":
+            got = Grid.from_rows([row[:29] for row in want.cells])
+        else:  # the differing cells scattered over the rows
+            changed = set(random.Random(differing).sample(range(900), differing))
+            got = Grid.from_rows([[(v + (r * 30 + c in changed)) % 10 for c, v in enumerate(row)]
+                                  for r, row in enumerate(want.cells)])
+        assert _mismatch_detail(got, want) == _mismatch_detail_per_cell(got, want)
+        detail = verify_program(parse_dsl("identity"), ArcTask("t", ((got, want),), ())).checks[0].detail
+        assert detail == (_mismatch_detail_per_cell(got, want) or "exact match")
 
     def test_single_cell_perturbation_flips_verdict(self):
         task = _rot_task()

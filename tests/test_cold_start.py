@@ -5,7 +5,8 @@ long ago.  The interpreter blocks ``import numpy``, so a command that
 exits 0 there shows that numpy is not needed, not only that it was not
 loaded.  A command that needs no HTTP (puzzle verification, a graph
 without solvers, a scripted sweep of reference-answer or game-answer
-tasks, an exact game value or its simulation) must not pay for requests.
+tasks, an exact game value or its simulation, an ``http-model`` sweep
+whose every reply is cached) must not pay for requests.
 """
 
 import json
@@ -107,3 +108,36 @@ def test_game_value_and_simulation_load_neither_numpy_nor_requests(tmp_path):
                      ["game", "ninja", "6", "--simulate", "1"]], tmp_path)
     assert points == [["import", 0, []], ["game ninja", 0, []], ["game coinflip", 0, []],
                       ["game ninja", 0, []]]
+
+
+def test_fully_cached_http_model_sweep_never_loads_requests(tmp_path, monkeypatch):
+    # Fill the reply cache here, with ChatClient.complete replaced by a
+    # writer of cache entries; the probe then replays the same sweep with
+    # no API key, so a single miss would fail the command.
+    from quorum.adapters.chat import ChatClient
+    from quorum.cli import main
+
+    tasks = tmp_path / "tasks.json"
+    tasks.write_text(json.dumps([{"id": f"t{i}", "prompt": f"question {i}?", "answer_kind": "choice",
+                                  "reference": "A"} for i in range(2)]))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "solvers": [{"id": "m", "kind": "http-model", "params": {
+            "base_url": "http://127.0.0.1:1", "model": "cached-model", "api_key_env": "QUORUM_COLD_START_KEY",
+            "cache_dir": str(tmp_path / "cache"), "max_retries": 0}}],
+        "methods": [{"method_id": "best_of_n", "n": 3}, {"method_id": "self_consistency", "n": 3}],
+        "tasks": str(tasks),
+    }))
+
+    def complete(client, prompt, seed=0):
+        reply = "A" if seed % 2 else "B"
+        client._cache_write(client.cache_key(prompt, seed), {"prompt": prompt},
+                            {"choices": [{"message": {"role": "assistant", "content": reply}}]})
+        return reply
+
+    monkeypatch.setattr(ChatClient, "complete", complete)
+    monkeypatch.delenv("QUORUM_COLD_START_KEY", raising=False)
+    assert main(["eval", "--config", str(config), "--out", str(tmp_path / "fill")]) == 0
+    assert list((tmp_path / "cache").glob("*.json"))
+    [_, point] = _probe([["eval", "--config", str(config), "--out", str(tmp_path / "runs")]], tmp_path)
+    assert point == ["eval --config", 0, []]
